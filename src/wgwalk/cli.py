@@ -46,10 +46,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return cfg.out_dir
 
 
-def _wrote(path: Path) -> None:
-    print(f"wrote {path}")
-
-
 def _chip_propagators(cfg: RunConfig):
     """Coupling matrix at the final cross-section, fan-in matrix, total U."""
     c = build_coupling_matrix(
@@ -95,8 +91,6 @@ def cmd_layout(cfg: RunConfig) -> List[Path]:
     io.write_json(layout_path, payload, cfg.digest)
     distances_path = out / "distances.csv"
     io.write_matrix_csv(distances_path, pairwise_distances(layout), cfg.digest)
-    for path in (layout_path, distances_path):
-        _wrote(path)
     return [layout_path, distances_path]
 
 
@@ -116,8 +110,7 @@ def cmd_propagate(cfg: RunConfig) -> List[Path]:
 
     trace_path = out / "trace.csv"
     columns = ["z"] + [f"p_{k + 1}" for k in range(cfg.layout.n)]
-    rows = [[z, *row] for z, row in zip(grid, probabilities)]
-    io.write_table_csv(trace_path, columns, rows, cfg.digest)
+    io.write_table_csv(trace_path, columns, np.column_stack([grid, probabilities]), cfg.digest)
 
     unitary_path = out / "unitary.json"
     io.write_json(
@@ -131,8 +124,6 @@ def cmd_propagate(cfg: RunConfig) -> List[Path]:
         },
         cfg.digest,
     )
-    for path in (trace_path, unitary_path):
-        _wrote(path)
     return [trace_path, unitary_path]
 
 
@@ -170,8 +161,6 @@ def cmd_correlations(cfg: RunConfig) -> List[Path]:
         cfg.digest,
     )
     paths.append(bundle_path)
-    for path in paths:
-        _wrote(path)
     return paths
 
 
@@ -183,14 +172,11 @@ def cmd_hom(cfg: RunConfig) -> List[Path]:
     i, j = _input_pair(cfg)
     scan = hom_scan(total, i, j, cfg.hom.delays, cfg.hom.coherence_sigma)
 
-    n = cfg.layout.n
-    pairs = [(k, l) for k in range(n) for l in range(k, n)]
+    ks, ls = np.triu_indices(cfg.layout.n)
+    pairs = list(zip(ks.tolist(), ls.tolist()))
     scan_path = out / "hom_scan.csv"
     columns = ["delay"] + [f"C_{k + 1}_{l + 1}" for k, l in pairs]
-    rows = [
-        [delay, *[scan.coincidences[d, k, l] for k, l in pairs]]
-        for d, delay in enumerate(scan.delays)
-    ]
+    rows = np.column_stack([scan.delays, scan.coincidences[:, ks, ls]])
     io.write_table_csv(scan_path, columns, rows, cfg.digest)
 
     summary = []
@@ -211,8 +197,6 @@ def cmd_hom(cfg: RunConfig) -> List[Path]:
         },
         cfg.digest,
     )
-    for path in (scan_path, visibility_path):
-        _wrote(path)
     return [scan_path, visibility_path]
 
 
@@ -248,7 +232,6 @@ def cmd_tomography(cfg: RunConfig, mode: str) -> List[Path]:
         record = simulate_tomography(chip, cfg.polarization.photometric_noise, rng)
         record_path = out / RECORD_FILENAME
         io.write_record_csv(record_path, record, cfg.digest)
-        _wrote(record_path)
         return [record_path]
 
     if mode == "reconstruct":
@@ -263,7 +246,6 @@ def cmd_tomography(cfg: RunConfig, mode: str) -> List[Path]:
             },
             cfg.digest,
         )
-        _wrote(mueller_path)
         return [mueller_path]
 
     if mode == "report":
@@ -296,19 +278,20 @@ def cmd_tomography(cfg: RunConfig, mode: str) -> List[Path]:
             {"excess_v_loss_by_input_port": pdl_report(record).tolist()},
             cfg.digest,
         )
-        for path in (ellipsoid_path, pdl_path):
-            _wrote(path)
         return [ellipsoid_path, pdl_path]
 
     raise ConfigError(f"unknown tomography mode {mode!r}")
 
 
-def cmd_fidelity(file_a, file_b, out_dir: str = ".") -> float:
+def cmd_fidelity(file_a, file_b, out_dir: str = ".") -> List[Path]:
     for path in (file_a, file_b):
         if not Path(path).exists():
             raise ConfigError(f"input file not found: {path}")
-    a = io.read_matrix_csv(file_a)
-    b = io.read_matrix_csv(file_b)
+    try:
+        a = io.read_matrix_csv(file_a)
+        b = io.read_matrix_csv(file_b)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     value = similarity(a, b)
     print(f"S = {value!r}")
     out = Path(out_dir)
@@ -318,8 +301,7 @@ def cmd_fidelity(file_a, file_b, out_dir: str = ".") -> float:
         path,
         {"similarity": value, "files": [Path(file_a).name, Path(file_b).name]},
     )
-    _wrote(path)
-    return value
+    return [path]
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -359,32 +341,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "layout": cmd_layout,
+    "propagate": cmd_propagate,
+    "correlations": cmd_correlations,
+    "hom": cmd_hom,
+    "tomography": cmd_tomography,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "fidelity":
-            cmd_fidelity(args.file_a, args.file_b, args.out)
-            return 0
-        cfg = load_run_config(
-            args.config, seed=args.seed, steps=args.steps, noise=args.noise, out=args.out
-        )
-        if args.command == "layout":
-            cmd_layout(cfg)
-        elif args.command == "propagate":
-            cmd_propagate(cfg)
-        elif args.command == "correlations":
-            cmd_correlations(cfg)
-        elif args.command == "hom":
-            cmd_hom(cfg)
-        elif args.command == "tomography":
-            cmd_tomography(cfg, args.mode)
-        return 0
+            paths = cmd_fidelity(args.file_a, args.file_b, args.out)
+        else:
+            cfg = load_run_config(
+                args.config, seed=args.seed, steps=args.steps, noise=args.noise, out=args.out
+            )
+            run = _COMMANDS[args.command]
+            paths = run(cfg, args.mode) if args.command == "tomography" else run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, IndexError, ArithmeticError, ReconstructionError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    for path in paths:
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -303,8 +303,6 @@ def load_run_config(
         raw["seed"] = seed
     if steps is not None:
         raw["steps"] = steps
-    if noise is not None:
-        raw.setdefault("polarization", {})
-        if isinstance(raw["polarization"], dict):
-            raw["polarization"]["photometric_noise"] = noise
+    if noise is not None and isinstance(raw.get("polarization"), dict):
+        raw["polarization"]["photometric_noise"] = noise
     return parse_run_config(raw, out_override=out)

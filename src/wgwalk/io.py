@@ -9,7 +9,9 @@ float formatting, no timestamps. Ports are 1-based in all emitted files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
@@ -47,13 +49,27 @@ def write_matrix_csv(path, matrix: np.ndarray, digest: Optional[str] = None) -> 
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a matrix CSV, ignoring comment lines."""
+    """Read a matrix CSV, ignoring comment lines.
+
+    Raises ValueError naming the file and 1-based line for an unparseable or
+    non-finite field, or a row whose length differs from the first row's.
+    """
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([float(field) for field in line.split(",")])
+        try:
+            row = [float(field) for field in line.split(",")]
+        except ValueError:
+            raise ValueError(f"{path}:{number}: unparseable field in {line!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{number}: non-finite value in {line!r}")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"{path}:{number}: {len(row)} fields where the first row has {len(rows[0])}"
+            )
+        rows.append(row)
     if not rows:
         raise ValueError(f"no data rows in {path}")
     return np.array(rows)
@@ -95,7 +111,7 @@ def write_json(path, payload: dict, digest: Optional[str] = None) -> None:
         meta["config_sha256"] = digest
     document = {"meta": meta}
     document.update(payload)
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def complex_matrix_payload(matrix: np.ndarray) -> list:
@@ -113,17 +129,13 @@ def complex_matrix_from_payload(payload) -> np.ndarray:
 
 def write_record_csv(path, record: TomographyRecord, digest: Optional[str] = None) -> None:
     """Tomography record as (input_port, input_state, output_port, analyzer, intensity)."""
-    n = record.n_ports
     lines = _comment_lines(digest)
     lines.append("input_port,input_state,output_port,analyzer,intensity")
-    for in_port in range(n):
-        for state_idx, state in enumerate(STATE_ORDER):
-            for out_port in range(n):
-                for an_idx, analyzer in enumerate(STATE_ORDER):
-                    value = record.intensities[in_port, state_idx, out_port, an_idx]
-                    lines.append(
-                        f"{in_port + 1},{state},{out_port + 1},{analyzer},{_fmt(value)}"
-                    )
+    ports = range(1, record.n_ports + 1)
+    labels = itertools.product(ports, STATE_ORDER, ports, STATE_ORDER)  # C order of the array
+    values = record.intensities.ravel().tolist()
+    for (in_port, state, out_port, analyzer), value in zip(labels, values):
+        lines.append(f"{in_port},{state},{out_port},{analyzer},{_fmt(value)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -154,7 +154,11 @@ class PoincareEllipsoid:
 
 
 def stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l) -> np.ndarray:
-    """Stokes vector from the six analyzer intensities."""
+    """Stokes vector from the six analyzer intensities.
+
+    Array arguments of one shape give the four components stacked on a new
+    leading axis.
+    """
     intensities = np.asarray([i_h, i_v, i_d, i_a, i_r, i_l], dtype=float)
     if np.any(intensities < 0):
         raise ValueError("analyzer intensities must be nonnegative")
@@ -247,14 +251,10 @@ def simulate_tomography(
     if photometric_noise < 0:
         raise ValueError("photometric_noise must be nonnegative")
     n = chip.n_ports
-    analyzers = np.stack([JONES_STATES[s] for s in STATE_ORDER])
-    record = np.zeros((n, 6, n, 6))
-    for in_port in range(n):
-        for state_idx, state in enumerate(STATE_ORDER):
-            field = np.zeros(2 * n, dtype=complex)
-            field[2 * in_port : 2 * in_port + 2] = JONES_STATES[state]
-            output = (chip.matrix @ field).reshape(n, 2)
-            record[in_port, state_idx] = np.abs(output @ analyzers.conj().T) ** 2
+    jones = np.stack([JONES_STATES[s] for s in STATE_ORDER])
+    blocks = chip.matrix.reshape(n, 2, n, 2)  # out port, out pol, in port, in pol
+    fields = np.einsum("kpjq,sq->jskp", blocks, jones)  # in port, state, out port, out pol
+    record = np.abs(fields @ jones.conj().T) ** 2
     if photometric_noise > 0:
         rng = np.random.default_rng() if rng is None else rng
         record = record * (1.0 + photometric_noise * rng.standard_normal(record.shape))
@@ -276,25 +276,18 @@ def reconstruct_mueller(record: TomographyRecord) -> MuellerArray:
     if np.linalg.matrix_rank(_STOKES_INPUTS) < 4:
         raise ReconstructionError("input states do not span the Stokes space")
     n = record.n_ports
-    h, v, d, a, l, r = (STATE_ORDER.index(s) for s in "HVDALR")
-    matrices = np.zeros((n, n, 4, 4))
-    residuals = np.zeros((n, n))
-    for out_port in range(n):
-        for in_port in range(n):
-            stokes_out = np.empty((6, 4))
-            for state_idx in range(6):
-                intens = record.intensities[in_port, state_idx, out_port]
-                stokes_out[state_idx] = stokes_from_intensities(
-                    intens[h], intens[v], intens[d], intens[a], intens[r], intens[l]
-                )
-            solution, _, rank, _ = np.linalg.lstsq(_STOKES_INPUTS, stokes_out, rcond=None)
-            if rank < 4:
-                raise ReconstructionError(
-                    f"degenerate input states for port pair ({out_port}, {in_port})"
-                )
-            matrices[out_port, in_port] = solution.T
-            misfit = _STOKES_INPUTS @ solution - stokes_out
-            residuals[out_port, in_port] = np.sqrt(np.mean(misfit**2))
+    intens = np.moveaxis(record.intensities, 2, 0)  # out port, in port, state, analyzer
+    h, v, d, a, l, r = (intens[..., STATE_ORDER.index(s)] for s in "HVDALR")
+    stokes_out = stokes_from_intensities(h, v, d, a, r, l)  # component, out, in, state
+    # One least-squares problem with a column per (out, in, component).
+    rhs = stokes_out.transpose(3, 1, 2, 0).reshape(6, 4 * n * n)
+    solution, _, rank, _ = np.linalg.lstsq(_STOKES_INPUTS, rhs, rcond=None)
+    if rank < 4:
+        raise ReconstructionError("degenerate input states")
+    matrices = np.ascontiguousarray(solution.T).reshape(n, n, 4, 4)
+    misfit = (_STOKES_INPUTS @ solution - rhs).reshape(6, n, n, 4)
+    misfit = np.moveaxis(misfit, 0, 2).reshape(n, n, 24)  # rows hold (state, component)
+    residuals = np.sqrt(np.mean(misfit**2, axis=-1))
     return MuellerArray(matrices, residuals)
 
 

@@ -219,6 +219,8 @@ def similarity(gamma_a, gamma_b) -> float:
     b = np.asarray(getattr(gamma_b, "values", gamma_b), dtype=float)
     if a.shape != b.shape:
         raise ValueError("distributions must have identical shapes")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("similarity requires finite entries")
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("similarity requires nonnegative entries")
     total_a = float(np.sum(a))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +315,12 @@ class TestTomographyCommand:
         cfg_path = write_config(tmp_path, base_config(tmp_path / "run"))
         assert main(["tomography", "--config", cfg_path, "--mode", "simulate"]) == 2
 
+    def test_noise_override_does_not_invent_polarization_section(self, tmp_path, capsys):
+        cfg_path = Path(__file__).resolve().parent.parent / "configs" / "fanin_walk.json"
+        argv = ["tomography", "--config", str(cfg_path), "--out", str(tmp_path), "--noise", "0.01"]
+        assert main(argv) == 2
+        assert "polarization" in capsys.readouterr().err
+
 
 class TestFidelityCommand:
     def test_identical_files_give_one(self, tmp_path, capsys):
@@ -354,6 +361,21 @@ class TestFidelityCommand:
         io.write_matrix_csv(a, np.eye(2))
         assert main(["fidelity", str(a), str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "body",
+        ["0.5,0.5\nnan,0.5\n", "0.5,0.5\n0.5\n", "0.5,0.5\n0.5,abc\n"],
+        ids=["nan", "ragged", "text"],
+    )
+    def test_malformed_matrix_is_config_error(self, tmp_path, capsys, body):
+        good = tmp_path / "good.csv"
+        io.write_matrix_csv(good, np.eye(2))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# wgwalk 0.1.0\n" + body)
+        out = tmp_path / "out"
+        assert main(["fidelity", str(good), str(bad), "--out", str(out)]) == 2
+        assert f"{bad}:3" in capsys.readouterr().err
+        assert not (out / "fidelity.json").exists()
+
     def test_negative_entries_are_numerical_failure(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         a = tmp_path / "a.csv"
@@ -379,6 +401,10 @@ class TestHeadersAndMeta:
         assert main(["layout", "--config", cfg_b]) == 0
         line = lambda p: (p / "distances.csv").read_text().splitlines()[1]
         assert line(tmp_path / "a") == line(tmp_path / "b")
+
+    def test_json_artifacts_refuse_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ValueError):
+            io.write_json(tmp_path / "bad.json", {"value": float("nan")})
 
 
 class TestInputPortValidation:

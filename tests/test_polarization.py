@@ -252,6 +252,15 @@ class TestReconstructMueller:
         )
         assert np.max(noisy.residuals) > 1e-6
 
+    def test_residuals_indexed_by_output_then_input_port(self):
+        record = simulate_tomography(random_chip(np.random.default_rng(37))).intensities
+        in_port, out_port = 1, 4
+        record[in_port, 0, out_port, :] *= 1.5  # H input no longer fits this pair's Mueller map
+        residuals = reconstruct_mueller(TomographyRecord(record)).residuals
+        assert residuals[out_port, in_port] > 0
+        others = np.delete(residuals.ravel(), out_port * 6 + in_port)
+        assert np.max(others) <= 1e-12
+
     def test_noise_error_statistics_bounded(self):
         rng = np.random.default_rng(29)
         chip = random_chip(rng)

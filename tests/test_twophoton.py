@@ -277,6 +277,12 @@ class TestSimilarity:
         with pytest.raises(ValueError):
             similarity(good, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        good = np.ones((2, 2))
+        with pytest.raises(ValueError, match="finite"):
+            similarity(good, np.array([[1.0, bad], [1.0, 1.0]]))
+
 
 class TestCorrelationMatrixType:
     def test_kind_tags(self):
