@@ -8,6 +8,7 @@ configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List
@@ -179,13 +180,11 @@ def cmd_hom(cfg: RunConfig) -> List[Path]:
     rows = np.column_stack([scan.delays, scan.coincidences[:, ks, ls]])
     io.write_table_csv(scan_path, columns, rows, cfg.digest)
 
-    summary = []
-    for k, l in pairs:
-        try:
-            value = visibility(scan, (k, l), mode=cfg.hom.visibility_mode)
-        except ValueError:
-            value = None  # no coincidences at this pair
-        summary.append({"output_pair": [k + 1, l + 1], "visibility": value})
+    values = visibility(scan, (ks, ls), mode=cfg.hom.visibility_mode)
+    summary = [
+        {"output_pair": [k + 1, l + 1], "visibility": None if math.isnan(v) else v}
+        for (k, l), v in zip(pairs, values.tolist())
+    ]
     visibility_path = out / "visibility.json"
     io.write_json(
         visibility_path,

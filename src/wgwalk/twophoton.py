@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .propagation import _as_transfer_matrix
 
@@ -163,48 +162,123 @@ def hom_scan(
     return HomScan(delays, coincidences, float(coherence_sigma), (i, j))
 
 
-def visibility(scan: HomScan, output_pair: Tuple[int, int], mode: str = "extrema") -> float:
-    """Interference visibility (C_max - C_min) / C_max for one output pair.
+def visibility(scan: HomScan, output_pair, mode: str = "extrema"):
+    """Interference visibility (C_max - C_min) / C_max of output pairs.
 
     ``mode="extrema"`` uses the raw scan extrema. ``mode="fit"`` fits a
     three-parameter Gaussian baseline - depth * exp(-dt^2 / (2 width^2)) and
     returns depth / baseline, so a coincidence peak (inverted dip) comes out
     negative.
+
+    ``output_pair`` is one pair ``(k, l)``, which gives a float and raises
+    ValueError when the visibility is undefined, or a pair of index arrays
+    ``(ks, ls)``, which gives a float array of their shape with NaN where the
+    visibility is undefined. It is undefined for a pair without coincidences,
+    and in fit mode also where the fitted baseline is not positive or the fit
+    did not converge.
     """
     k, l = output_pair
     counts = scan.coincidences[:, k, l]
-    if counts.size == 0:
+    if counts.shape[0] == 0:
         raise ValueError("empty delay scan")
     if mode == "extrema":
-        c_max = float(np.max(counts))
-        if c_max <= 0.0:
-            raise ValueError(
-                f"visibility undefined: no coincidences at output pair {output_pair}"
-            )
-        return (c_max - float(np.min(counts))) / c_max
-    if mode == "fit":
-        return _fit_visibility(scan.delays, counts, scan.coherence_sigma)
-    raise ValueError(f"unknown visibility mode {mode!r}")
+        c_max = np.max(counts, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.where(c_max > 0.0, (c_max - np.min(counts, axis=0)) / c_max, np.nan)
+    elif mode == "fit":
+        columns = counts.reshape(counts.shape[0], -1)
+        values = _fit_visibility(scan.delays, columns, scan.coherence_sigma)
+        values = values.reshape(counts.shape[1:])
+    else:
+        raise ValueError(f"unknown visibility mode {mode!r}")
+    if values.ndim:
+        return values
+    if np.isnan(values):
+        raise ValueError(f"visibility undefined at output pair {output_pair}")
+    return float(values)
 
 
-def _fit_visibility(delays: np.ndarray, counts: np.ndarray, width_guess: float) -> float:
-    if np.ptp(counts) == 0.0:  # flat scan, nothing to fit
-        if counts[0] <= 0.0:
-            raise ValueError("visibility undefined: no coincidences in scan")
-        return 0.0
+# Levenberg-Marquardt settings of the dip fit. Damping starts at
+# _FIT_DAMPING and is divided by 10 on an accepted step, multiplied by 10 on a
+# rejected one. A pair stops at a relative step below _FIT_XTOL, at an
+# accepted step that lowers the cost by less than _FIT_FTOL of it, or at an
+# rms residual within _FIT_ROUNDOFF of the largest count; a pair still running
+# after _FIT_MAX_ITER steps is undefined.
+_FIT_MAX_ITER = 200
+_FIT_XTOL = 1e-13
+_FIT_FTOL = 1e-15
+_FIT_ROUNDOFF = 4.0 * np.finfo(float).eps
+_FIT_DAMPING = 1e-3
 
-    def dip(t, baseline, depth, width):
-        return baseline - depth * np.exp(-(t**2) / (2.0 * width**2))
 
-    far = float(np.max(np.abs(delays)))
-    baseline0 = float(counts[np.argmax(np.abs(delays))]) if far > 0 else float(np.max(counts))
-    depth0 = baseline0 - float(counts[np.argmin(np.abs(delays))])
-    p0 = [baseline0, depth0, width_guess]
-    params, _ = curve_fit(dip, delays, counts, p0=p0, maxfev=10000)
-    baseline, depth, _width = params
-    if baseline <= 0.0:
-        raise ValueError("visibility undefined: fitted baseline is not positive")
-    return float(depth / baseline)
+def _dip_terms(params: np.ndarray, t: np.ndarray, y: np.ndarray):
+    """Residuals (P, T), Jacobian (P, T, 3) and cost (P,) of the dip model for P pairs."""
+    baseline, depth, width = params[:, 0:1], params[:, 1:2], params[:, 2:3]
+    # A wild trial step (say, a width near zero) can overflow; its cost is
+    # then not finite and the step is rejected.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = np.exp(-(t**2) / (2.0 * width**2))
+        d_width = -depth * g * t**2 / width**3
+        residuals = baseline - depth * g - y
+        cost = np.sum(residuals**2, axis=1)
+    return residuals, np.stack([np.ones_like(g), -g, d_width], axis=-1), cost
+
+
+def _fit_visibility(delays: np.ndarray, counts: np.ndarray, width_guess: float) -> np.ndarray:
+    """Fitted depth / baseline of every column of ``counts`` (T, P), NaN where undefined.
+
+    All P dips are fitted at once by Levenberg-Marquardt (Marquardt's
+    diagonal scaling, analytic Jacobian, one batched 3x3 solve per step).
+    A flat column gives 0.0, or NaN without coincidences.
+    """
+    t = np.asarray(delays, dtype=float)
+    y = np.asarray(counts, dtype=float).T
+    n_pairs = y.shape[0]
+    near, far = np.argmin(np.abs(t)), np.argmax(np.abs(t))
+    baseline0 = y[:, far] if abs(t[far]) > 0 else np.max(y, axis=1)
+    params = np.stack(
+        [baseline0, baseline0 - y[:, near], np.full(n_pairs, float(width_guess))], axis=1
+    )
+    flat = np.ptp(y, axis=1) == 0.0  # flat scan, nothing to fit
+    floor = y.shape[1] * (_FIT_ROUNDOFF * np.max(np.abs(y), axis=1)) ** 2
+    residuals, jacobian, cost = _dip_terms(params, t, y)
+    done = flat | (cost <= floor)
+    damping = np.full(n_pairs, _FIT_DAMPING)
+    for _ in range(_FIT_MAX_ITER):
+        (live,) = np.nonzero(~done)
+        if live.size == 0:
+            break
+        jac = jacobian[live]
+        normal = np.einsum("ptj,ptk->pjk", jac, jac)
+        gradient = np.einsum("ptj,pt->pj", jac, residuals[live])
+        # Solve in units of the Jacobian column norms, so that baseline, depth
+        # and width are damped alike whatever the scale of the counts. A zero
+        # column (the width at depth 0) gets unit scale and a zero step.
+        size = np.sqrt(np.diagonal(normal, axis1=1, axis2=2))
+        unit = np.where(size > 0.0, size, 1.0)
+        scaled = normal / (unit[:, :, None] * unit[:, None, :])
+        damped = scaled + damping[live, None, None] * np.eye(3)
+        step = -np.linalg.solve(damped, (gradient / unit)[..., None])[..., 0] / unit
+        trial = params[live] + step
+        trial_residuals, trial_jacobian, trial_cost = _dip_terms(trial, t, y[live])
+        better = trial_cost < cost[live]  # False for a cost that is not finite
+        converged = np.linalg.norm(size * step, axis=1) <= _FIT_XTOL * np.linalg.norm(
+            size * params[live], axis=1
+        )
+        converged |= better & (
+            (cost[live] - trial_cost <= _FIT_FTOL * cost[live]) | (trial_cost <= floor[live])
+        )
+        accepted = live[better]
+        params[accepted] = trial[better]
+        residuals[accepted] = trial_residuals[better]
+        jacobian[accepted] = trial_jacobian[better]
+        cost[accepted] = trial_cost[better]
+        damping[live] = np.where(better, damping[live] / 10.0, damping[live] * 10.0)
+        done[live] = converged
+    baseline, depth = params[:, 0], params[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(done & (baseline > 0.0), depth / baseline, np.nan)
+    return np.where(flat, np.where(y[:, 0] > 0.0, 0.0, np.nan), values)
 
 
 def similarity(gamma_a, gamma_b) -> float:

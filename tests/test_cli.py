@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -413,3 +416,15 @@ class TestInputPortValidation:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["correlations", "--config", cfg_path]) == 2
         assert "distinct" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy's import alone took longer than any shipped command computes
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import sys, wgwalk.cli; print('scipy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"

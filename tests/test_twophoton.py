@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
+from wgwalk import twophoton
 from wgwalk.propagation import Propagator, unitary
 from wgwalk.twophoton import (
     CorrelationMatrix,
@@ -222,6 +224,89 @@ class TestVisibility:
         scan = hom_scan(splitter_5050(), 0, 1, [0.0], 1.0)
         with pytest.raises(ValueError):
             visibility(scan, (0, 1), mode="nope")
+
+
+def _curve_fit_visibility(delays, counts, width_guess):
+    """Independent oracle: scipy's MINPACK fit of one dip from the same start."""
+
+    def dip(t, baseline, depth, width):
+        return baseline - depth * np.exp(-(t**2) / (2.0 * width**2))
+
+    baseline0 = counts[np.argmax(np.abs(delays))]
+    p0 = [baseline0, baseline0 - counts[np.argmin(np.abs(delays))], width_guess]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # covariance of a degenerate dip
+        (baseline, depth, _), _ = curve_fit(dip, delays, counts, p0=p0, maxfev=10000)
+    return depth / baseline
+
+
+def _scan_with_degenerate_pairs():
+    """Random-unitary scan with one all-zero pair (5, 5) and one pair (1, 2)
+    whose indistinguishable and distinguishable coincidences differ by one ulp."""
+    u = random_unitary(np.random.default_rng(83), 6)
+    scan = hom_scan(u, 0, 3, np.linspace(-4, 4, 41), 1.0)
+    coincidences = scan.coincidences.copy()
+    coincidences[:, 5, 5] = 0.0
+    gd = 0.2
+    overlap = np.exp(-(scan.delays**2) / 2.0)
+    coincidences[:, 1, 2] = gd + overlap * (np.nextafter(gd, 1.0) - gd)
+    assert 0.0 < np.ptp(coincidences[:, 1, 2]) < 1e-16
+    return HomScan(scan.delays, coincidences, scan.coherence_sigma, scan.input_pair)
+
+
+def _per_pair(scan, ks, ls, mode):
+    values = []
+    for k, l in zip(ks.tolist(), ls.tolist()):
+        try:
+            values.append(visibility(scan, (k, l), mode=mode))
+        except ValueError:
+            values.append(np.nan)
+    return np.array(values)
+
+
+class TestBatchedVisibility:
+    def test_extrema_bit_equal_to_per_pair_calls(self):
+        scan = _scan_with_degenerate_pairs()
+        ks, ls = np.triu_indices(6)
+        batched = visibility(scan, (ks, ls))
+        assert batched.shape == ks.shape
+        assert np.array_equal(batched, _per_pair(scan, ks, ls, "extrema"), equal_nan=True)
+        assert np.flatnonzero(np.isnan(batched)).tolist() == [20]  # the all-zero pair (5, 5)
+
+    def test_fit_matches_per_pair_calls_and_curve_fit(self):
+        scan = _scan_with_degenerate_pairs()
+        ks, ls = np.triu_indices(6)
+        batched = visibility(scan, (ks, ls), mode="fit")
+        per_pair = _per_pair(scan, ks, ls, "fit")
+        np.testing.assert_array_equal(np.isnan(batched), np.isnan(per_pair))
+        assert np.flatnonzero(np.isnan(batched)).tolist() == [20]
+        np.testing.assert_allclose(batched, per_pair, rtol=0, atol=1e-12)
+        oracle = np.array(
+            [
+                _curve_fit_visibility(scan.delays, scan.coincidences[:, k, l], 1.0)
+                for k, l in zip(ks.tolist(), ls.tolist())
+                if (k, l) != (5, 5)
+            ]
+        )
+        np.testing.assert_allclose(batched[~np.isnan(batched)], oracle, rtol=0, atol=1e-9)
+
+    def test_near_flat_scan_fits_without_warnings(self):
+        scan = _scan_with_degenerate_pairs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = visibility(scan, (1, 2), mode="fit")
+        assert math.isfinite(value) and abs(value) < 1e-9
+
+    def test_fit_stopped_by_iteration_cap_is_undefined(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        delays = np.linspace(-3, 3, 61)
+        counts = 1.0 - 0.38 * np.exp(-(delays**2) / 2.0)
+        counts = counts * (1.0 + 0.002 * rng.standard_normal(delays.size))
+        scan = HomScan(delays, counts[:, None, None], 1.0, (0, 1))
+        assert visibility(scan, (0, 0), mode="fit") == pytest.approx(0.38, abs=0.01)
+        monkeypatch.setattr(twophoton, "_FIT_MAX_ITER", 1)
+        with pytest.raises(ValueError, match="undefined"):
+            visibility(scan, (0, 0), mode="fit")
 
 
 def _similarity_by_loops(a, b):
