@@ -78,15 +78,15 @@ def cmd_layout(cfg: RunConfig) -> List[Path]:
     layout = cfg.layout
     payload = {
         "count": layout.n,
-        "positions_um": layout.positions.tolist(),
+        "positions_um": layout.positions,
         "z_span_mm": list(layout.z_span) if layout.z_span else None,
     }
     if layout.z_profile is not None:
         z0, z1 = layout.z_span
         samples = np.linspace(z0, z1, cfg.steps + 1)
         payload["profile"] = {
-            "z_mm": samples.tolist(),
-            "positions_um": [layout.positions_at(z).tolist() for z in samples],
+            "z_mm": samples,
+            "positions_um": np.array([layout.positions_at(z) for z in samples]),
         }
     layout_path = out / "layout.json"
     io.write_json(layout_path, payload, cfg.digest)
@@ -155,9 +155,9 @@ def cmd_correlations(cfg: RunConfig) -> List[Path]:
         bundle_path,
         {
             "input_ports": [i + 1, j + 1],
-            "indistinguishable": gi.values.tolist(),
-            "distinguishable": gd.values.tolist(),
-            "difference": diff.values.tolist(),
+            "indistinguishable": gi.values,
+            "distinguishable": gd.values,
+            "difference": diff.values,
         },
         cfg.digest,
     )
@@ -240,8 +240,8 @@ def cmd_tomography(cfg: RunConfig, mode: str) -> List[Path]:
             mueller_path,
             {
                 "n_ports": array.n_ports,
-                "matrices": array.matrices.tolist(),
-                "residuals": array.residuals.tolist(),
+                "matrices": array.matrices,
+                "residuals": array.residuals,
             },
             cfg.digest,
         )
@@ -250,31 +250,30 @@ def cmd_tomography(cfg: RunConfig, mode: str) -> List[Path]:
     if mode == "report":
         record = _load_record(cfg)
         array = reconstruct_mueller(record)
-        n = array.n_ports
-        ellipsoids = []
-        for out_port in range(n):
-            row = []
-            for in_port in range(n):
-                e = poincare_ellipsoid(array.matrices[out_port, in_port])
-                row.append(
-                    {
-                        "output_port": out_port + 1,
-                        "input_port": in_port + 1,
-                        "center": e.center.tolist(),
-                        "semi_axes": e.semi_axes.tolist(),
-                        "orientation": e.orientation.tolist(),
-                        "markers": {s: v.tolist() for s, v in sorted(e.markers.items())},
-                        "average_power": e.average_power,
-                        "degenerate": e.degenerate,
-                    }
-                )
-            ellipsoids.append(row)
+        e = poincare_ellipsoid(array.matrices)
+        powers, degenerate = e.average_power.tolist(), e.degenerate.tolist()
+        ellipsoids = [
+            [
+                {
+                    "output_port": out_port + 1,
+                    "input_port": in_port + 1,
+                    "center": e.center[out_port, in_port],
+                    "semi_axes": e.semi_axes[out_port, in_port],
+                    "orientation": e.orientation[out_port, in_port],
+                    "markers": {s: v[out_port, in_port] for s, v in e.markers.items()},
+                    "average_power": powers[out_port][in_port],
+                    "degenerate": degenerate[out_port][in_port],
+                }
+                for in_port in range(array.n_ports)
+            ]
+            for out_port in range(array.n_ports)
+        ]
         ellipsoid_path = out / "ellipsoids.json"
         io.write_json(ellipsoid_path, {"ellipsoids": ellipsoids}, cfg.digest)
         pdl_path = out / "pdl.json"
         io.write_json(
             pdl_path,
-            {"excess_v_loss_by_input_port": pdl_report(record).tolist()},
+            {"excess_v_loss_by_input_port": pdl_report(record)},
             cfg.digest,
         )
         return [ellipsoid_path, pdl_path]

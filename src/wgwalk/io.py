@@ -8,12 +8,13 @@ float formatting, no timestamps. Ports are 1-based in all emitted files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import itertools
 import json
 import math
+import warnings
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,23 +30,29 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _comment_lines(digest: Optional[str]) -> List[str]:
-    lines = [f"# wgwalk {TOOL_VERSION}"]
-    if digest is not None:
-        lines.append(f"# config sha256 {digest}")
-    return lines
+def _write_csv(
+    path, digest: Optional[str], blocks: Iterable[str], header: Optional[str] = None
+) -> None:
+    """Comment lines, an optional column-header line, then blocks of
+    newline-terminated rows, each written as it comes."""
+    with open(path, "w") as handle:
+        handle.write(f"# wgwalk {TOOL_VERSION}\n")
+        if digest is not None:
+            handle.write(f"# config sha256 {digest}\n")
+        if header is not None:
+            handle.write(header + "\n")
+        handle.writelines(blocks)
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _float_lines(rows: np.ndarray) -> Iterator[str]:
+    """Each row of a 2-D array as a line of comma-separated shortest-roundtrip floats."""
+    for row in rows:
+        yield ",".join(map(float.__repr__, row.tolist())) + "\n"
 
 
 def write_matrix_csv(path, matrix: np.ndarray, digest: Optional[str] = None) -> None:
     """Plain comma-separated matrix body under the standard comment header."""
-    rows = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = _comment_lines(digest)
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, digest, _float_lines(np.atleast_2d(np.asarray(matrix, dtype=float))))
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -78,103 +85,210 @@ def read_matrix_csv(path) -> np.ndarray:
 def write_table_csv(
     path,
     columns: Sequence[str],
-    rows: Iterable[Sequence],
+    rows: np.ndarray,
     digest: Optional[str] = None,
 ) -> None:
-    lines = _comment_lines(digest)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Column-headed table of floats under the standard comment header."""
+    _write_csv(path, digest, _float_lines(np.asarray(rows, dtype=float)), header=",".join(columns))
 
 
-def read_table_csv(path):
-    """Read a column-headed table CSV: returns (column names, float rows)."""
-    columns = None
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if columns is None:
-            columns = line.split(",")
-            continue
-        rows.append([float(field) for field in line.split(",")])
-    if columns is None or not rows:
-        raise ValueError(f"no table content in {path}")
-    return columns, np.array(rows)
+_JSON_INDENT = "  "
+
+
+@functools.lru_cache(maxsize=64)
+def _array_template(shape: tuple, level: int) -> str:
+    """``%s`` template laying out an array of ``shape`` as indented nested lists."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    inner = _array_template(shape[1:], level + 1)
+    pad = "\n" + _JSON_INDENT * (level + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + _JSON_INDENT * level + "]"
+
+
+def _non_finite(value) -> ValueError:
+    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _json_text(value, level: int) -> str:
+    """JSON text of ``value`` as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
+    writes it at nesting depth ``level``, with floating-point ndarrays laid out
+    like their ``tolist()``. Dict keys must be strings."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise _non_finite(value)
+        return float.__repr__(value)
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind != "f":
+            raise TypeError(f"array leaves must be floating point, not {value.dtype}")
+        flat = value.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
+            raise _non_finite(next(v for v in flat if not math.isfinite(v)))
+        return _array_template(value.shape, level) % tuple(map(float.__repr__, flat))
+    pad = "\n" + _JSON_INDENT * (level + 1)
+    close = "\n" + _JSON_INDENT * level
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, level + 1) for item in value]
+        return "[" + pad + ("," + pad).join(items) + close + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            json.encoder.encode_basestring_ascii(key) + ": " + _json_text(value[key], level + 1)
+            for key in sorted(value)
+        ]
+        return "{" + pad + ("," + pad).join(items) + close + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_json(path, payload: dict, digest: Optional[str] = None) -> None:
+    """Payload under a ``meta`` object, byte for byte as
+    ``json.dumps(document, indent=2, sort_keys=True, allow_nan=False)`` would
+    write it with every ndarray replaced by its ``tolist()``; non-finite
+    numbers raise ValueError."""
     meta = {"tool_version": TOOL_VERSION}
     if digest is not None:
         meta["config_sha256"] = digest
     document = {"meta": meta}
     document.update(payload)
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    Path(path).write_text(_json_text(document, 0) + "\n")
 
 
-def complex_matrix_payload(matrix: np.ndarray) -> list:
-    """Row-major nested lists of [re, im] pairs."""
+def complex_matrix_payload(matrix: np.ndarray) -> np.ndarray:
+    """Row-major [re, im] pairs: an (..., 2) float array."""
     m = np.asarray(matrix, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def complex_matrix_from_payload(payload) -> np.ndarray:
-    data = np.asarray(payload, dtype=float)
-    if data.ndim != 3 or data.shape[2] != 2:
-        raise ValueError("complex matrix payload must be nested [re, im] pairs")
-    return data[..., 0] + 1j * data[..., 1]
+    return np.stack([m.real, m.imag], axis=-1)
 
 
 def write_record_csv(path, record: TomographyRecord, digest: Optional[str] = None) -> None:
     """Tomography record as (input_port, input_state, output_port, analyzer, intensity)."""
-    lines = _comment_lines(digest)
-    lines.append("input_port,input_state,output_port,analyzer,intensity")
-    ports = range(1, record.n_ports + 1)
-    labels = itertools.product(ports, STATE_ORDER, ports, STATE_ORDER)  # C order of the array
-    values = record.intensities.ravel().tolist()
-    for (in_port, state, out_port, analyzer), value in zip(labels, values):
-        lines.append(f"{in_port},{state},{out_port},{analyzer},{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    n = record.n_ports
+    # "port,state," for each of the 6N (port, state) pairs of either end, in
+    # C order of the array, whose rows are input pairs and columns output pairs
+    prefixes = [f"{port},{state}," for port in range(1, n + 1) for state in STATE_ORDER]
+
+    def block(head: str, row: np.ndarray) -> str:
+        values = map(float.__repr__, row.tolist())
+        return "".join([head + tail + value + "\n" for tail, value in zip(prefixes, values)])
+
+    rows = record.intensities.reshape(6 * n, 6 * n)
+    header = "input_port,input_state,output_port,analyzer,intensity"
+    _write_csv(path, digest, map(block, prefixes, rows), header=header)
+
+
+_RECORD_DTYPE = np.dtype(
+    [
+        ("in_port", np.int64),
+        # two characters, so that a longer field cannot pass as its first letter
+        ("state", "U2"),
+        ("out_port", np.int64),
+        ("analyzer", "U2"),
+        ("intensity", np.float64),
+    ]
+)
+_STATES = np.array(STATE_ORDER)
+
+
+def _parse_record_rows(source, skiprows: int = 0) -> np.ndarray:
+    with warnings.catch_warnings():  # an empty record is reported by the caller
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, dtype=_RECORD_DTYPE, delimiter=",", skiprows=skiprows, ndmin=1)
+
+
+def _leading_lines(path) -> int:
+    """Number of comment, blank and column-header lines that open a record file."""
+    count = 0
+    with open(path) as handle:
+        for line in handle:
+            if line.startswith("input_port"):
+                return count + 1
+            if line.strip() and not line.lstrip().startswith("#"):
+                break
+            count += 1
+    return count
+
+
+def _data_lines(path, skip: int) -> list:
+    """(1-based line number, line) of each row the record parser reads."""
+    lines = Path(path).read_text().split("\n")[skip:]
+    return [(number, line) for number, line in enumerate(lines, skip + 1) if line.partition("#")[0]]
+
+
+def _first_unparsable(lines: list) -> int:
+    """Index of the first line the record parser rejects; some line must fail."""
+    lo, hi = 0, len(lines)  # lines[lo:hi] holds a failing line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_record_rows(lines[lo:mid])
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def read_record_csv(path) -> TomographyRecord:
-    """Parse a tomography record CSV; incomplete records are rejected."""
-    state_index = {s: k for k, s in enumerate(STATE_ORDER)}
-    entries = []
-    max_port = 0
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("input_port"):
-            continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ReconstructionError(f"malformed record row: {line!r}")
-        in_port, state, out_port, analyzer, value = fields
-        try:
-            in_port = int(in_port)
-            out_port = int(out_port)
-            value = float(value)
-        except ValueError as exc:
-            raise ReconstructionError(f"malformed record row: {line!r}") from exc
-        if state not in state_index or analyzer not in state_index:
-            raise ReconstructionError(f"unknown polarization state in row: {line!r}")
-        entries.append((in_port, state_index[state], out_port, state_index[analyzer], value))
-        max_port = max(max_port, in_port, out_port)
-    if max_port == 0:
+    """Parse a tomography record CSV whose rows may come in any order.
+
+    Raises ReconstructionError naming the file and 1-based line for a
+    malformed row, an unknown polarization state, a port below 1, or a
+    non-finite or negative intensity; and naming the file for a record with no
+    rows or with any (input, state, output, analyzer) intensity missing.
+    """
+    skip = _leading_lines(path)
+
+    def row_error(index: int, what: str) -> ReconstructionError:
+        number, line = _data_lines(path, skip)[index]
+        return ReconstructionError(f"{path}:{number}: {what}: {line!r}")
+
+    try:
+        rows = _parse_record_rows(path, skip)
+    except ValueError:
+        lines = [line for _, line in _data_lines(path, skip)]
+        raise row_error(_first_unparsable(lines), "malformed record row") from None
+    if rows.size == 0:
         raise ReconstructionError(f"no record rows found in {path}")
-    n = max_port
-    data = np.zeros((n, 6, n, 6))
-    filled = np.zeros((n, 6, n, 6), dtype=bool)
-    for in_port, state_idx, out_port, an_idx, value in entries:
-        if not (1 <= in_port <= n and 1 <= out_port <= n):
-            raise ReconstructionError(f"port index out of range: {in_port}, {out_port}")
-        data[in_port - 1, state_idx, out_port - 1, an_idx] = value
-        filled[in_port - 1, state_idx, out_port - 1, an_idx] = True
-    if not filled.all():
-        missing = int(filled.size - filled.sum())
+
+    def check(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            raise row_error(int(np.argmax(bad)), what)
+
+    states, analyzers = (rows[name][:, None] == _STATES for name in ("state", "analyzer"))
+    check(~(states.any(axis=1) & analyzers.any(axis=1)), "unknown polarization state")
+    in_port, out_port = rows["in_port"], rows["out_port"]
+    check(np.minimum(in_port, out_port) < 1, "port index out of range")
+    values = rows["intensity"]
+    check(~np.isfinite(values), "non-finite intensity")
+    check(values < 0, "negative intensity")
+
+    n = int(max(in_port.max(), out_port.max()))
+    size = 36 * n * n
+    keys = (in_port - 1, states.argmax(axis=1), out_port - 1, analyzers.argmax(axis=1))
+    if size > rows.size:  # cannot be complete; also keeps a mistyped port from sizing arrays
+        missing = size - np.unique(np.stack(keys), axis=1).shape[1]
+    else:
+        flat = np.ravel_multi_index(keys, (n, 6, n, 6))
+        filled = np.zeros(size, dtype=bool)
+        filled[flat] = True
+        missing = size - int(np.count_nonzero(filled))
+    if missing:
         raise ReconstructionError(
-            f"tomography record incomplete: {missing} of {filled.size} intensities missing"
+            f"{path}: tomography record incomplete: {missing} of {size} intensities missing"
         )
-    return TomographyRecord(data)
+    data = np.empty(size)
+    data[flat] = values
+    return TomographyRecord(data.reshape(n, 6, n, 6))

@@ -143,7 +143,7 @@ class MuellerArray:
 
 @dataclass(frozen=True)
 class PoincareEllipsoid:
-    """Image of the unit polarization sphere under one Mueller matrix."""
+    """Image of the unit polarization sphere under one Mueller matrix, or a stack of them."""
 
     center: np.ndarray
     semi_axes: np.ndarray
@@ -301,28 +301,36 @@ def poincare_ellipsoid(mueller: np.ndarray, degenerate_tol: float = 1e-12) -> Po
     inputs as arrows along the output polarization direction scaled by
     transmitted power, and ``average_power`` is the mean output S0 over the
     six canonical inputs.
+
+    A stack of shape (..., 4, 4) gives every field with the same leading
+    axes (``average_power`` and ``degenerate`` as arrays), each entry equal
+    bit for bit to the call on that matrix alone.
     """
     m = np.asarray(mueller, dtype=float)
-    if m.shape != (4, 4) or not np.all(np.isfinite(m)):
+    if m.ndim < 2 or m.shape[-2:] != (4, 4) or not np.all(np.isfinite(m)):
         raise ValueError("expected a finite 4 x 4 Mueller matrix")
-    center = m[1:, 0].copy()
-    block = m[1:, 1:]
-    rotation, axes, _ = np.linalg.svd(block)
-    if np.linalg.det(rotation) < 0:  # keep a proper rotation
-        rotation = rotation.copy()
-        rotation[:, -1] *= -1.0
+    center = m[..., 1:, 0].copy()
+    rotation, axes, _ = np.linalg.svd(m[..., 1:, 1:])
+    rotation[np.linalg.det(rotation) < 0, :, -1] *= -1.0  # keep proper rotations
+    outputs = {s: m @ STOKES_STATES[s] for s in STATE_ORDER}  # one matvec per matrix
     markers: Dict[str, np.ndarray] = {}
     for state in ("H", "D", "R"):
-        out = m @ STOKES_STATES[state]
-        direction_norm = np.linalg.norm(out[1:])
-        if direction_norm > 0:
-            markers[state] = out[0] * out[1:] / direction_norm
-        else:
-            markers[state] = np.zeros(3)
-    average_power = float(
-        np.mean([(m @ STOKES_STATES[s])[0] for s in STATE_ORDER])
-    )
-    degenerate = bool(np.all(axes <= degenerate_tol))
+        out = outputs[state]
+        direction = out[..., 1:]
+        # sqrt of the same dot product np.linalg.norm takes of one vector
+        direction_norm = np.sqrt((direction[..., None, :] @ direction[..., :, None])[..., 0, 0])
+        markers[state] = np.zeros_like(direction)
+        np.divide(
+            out[..., :1] * direction,
+            direction_norm[..., None],
+            out=markers[state],
+            where=direction_norm[..., None] > 0,
+        )
+    powers = np.stack([outputs[s][..., 0] for s in STATE_ORDER], axis=-1)
+    average_power = np.mean(powers, axis=-1)
+    degenerate = np.all(axes <= degenerate_tol, axis=-1)
+    if m.ndim == 2:
+        average_power, degenerate = float(average_power), bool(degenerate)
     return PoincareEllipsoid(
         center=center,
         semi_axes=axes,

@@ -8,11 +8,13 @@ first principles.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from wgwalk.coupling import CouplingModel
 from wgwalk.geometry import elliptical_layout
-from wgwalk.polarization import JonesTransfer, build_polarized_chip
+from wgwalk.polarization import STATE_ORDER, STOKES_STATES, JonesTransfer, build_polarized_chip
 
 PAPER_SEMI_MAJOR_UM = 10.2
 PAPER_SEMI_MINOR_UM = 7.0
@@ -97,3 +99,46 @@ def random_chip(
         loss_v=None if lossless else rng.uniform(0.7, 1.0, n_ports),
         z=rng.uniform(0.5, 2.0),
     )
+
+
+def read_table_csv(path):
+    """Read a column-headed table CSV: returns (column names, float rows)."""
+    columns = None
+    rows = []
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if columns is None:
+            columns = line.split(",")
+            continue
+        rows.append([float(field) for field in line.split(",")])
+    if columns is None or not rows:
+        raise ValueError(f"no table content in {path}")
+    return columns, np.array(rows)
+
+
+def complex_matrix_from_payload(payload) -> np.ndarray:
+    """Complex matrix from the nested [re, im] pairs of an emitted payload."""
+    data = np.asarray(payload, dtype=float)
+    if data.ndim != 3 or data.shape[2] != 2:
+        raise ValueError("complex matrix payload must be nested [re, im] pairs")
+    return data[..., 0] + 1j * data[..., 1]
+
+
+def poincare_ellipsoid_reference(m: np.ndarray, degenerate_tol: float = 1e-12):
+    """One matrix at a time, as the ellipsoid report used to compute it: the
+    bit-level reference for the stacked ``poincare_ellipsoid``. Returns
+    (center, semi_axes, orientation, markers, average_power, degenerate)."""
+    rotation, axes, _ = np.linalg.svd(m[1:, 1:])
+    if np.linalg.det(rotation) < 0:
+        rotation = rotation.copy()
+        rotation[:, -1] *= -1.0
+    markers = {}
+    for state in ("H", "D", "R"):
+        out = m @ STOKES_STATES[state]
+        direction_norm = np.linalg.norm(out[1:])
+        markers[state] = out[0] * out[1:] / direction_norm if direction_norm > 0 else np.zeros(3)
+    average_power = float(np.mean([(m @ STOKES_STATES[s])[0] for s in STATE_ORDER]))
+    degenerate = bool(np.all(axes <= degenerate_tol))
+    return m[1:, 0].copy(), axes, rotation, markers, average_power, degenerate

@@ -13,7 +13,7 @@ from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.propagation import unitary
 from wgwalk.twophoton import gamma_indistinguishable, similarity
 
-from helpers import paper_ellipse
+from helpers import complex_matrix_from_payload, paper_ellipse, read_table_csv
 
 
 def base_config(out_dir, **overrides):
@@ -128,7 +128,7 @@ class TestPropagateCommand:
         cfg = base_config(tmp_path / "run", z_mm=0.0, trace_points=3, input_ports=[3])
         cfg_path = write_config(tmp_path, cfg)
         assert main(["propagate", "--config", cfg_path]) == 0
-        columns, table = io.read_table_csv(tmp_path / "run" / "trace.csv")
+        columns, table = read_table_csv(tmp_path / "run" / "trace.csv")
         assert columns == ["z", "p_1", "p_2", "p_3", "p_4", "p_5", "p_6"]
         for row in table:
             np.testing.assert_allclose(row[1:], np.eye(6)[2], atol=1e-12)
@@ -137,7 +137,7 @@ class TestPropagateCommand:
         cfg = base_config(tmp_path / "run", input_ports=[1], z_mm=2.0, trace_points=80)
         cfg_path = write_config(tmp_path, cfg)
         assert main(["propagate", "--config", cfg_path]) == 0
-        _, table = io.read_table_csv(tmp_path / "run" / "trace.csv")
+        _, table = read_table_csv(tmp_path / "run" / "trace.csv")
         # columns: z, p_1..p_6; mirror pairs for input 1 are (2,6) and (3,5)
         np.testing.assert_array_equal(table[:, 2].round(10), table[:, 6].round(10))
         np.testing.assert_array_equal(table[:, 3].round(10), table[:, 5].round(10))
@@ -147,7 +147,7 @@ class TestPropagateCommand:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["propagate", "--config", cfg_path]) == 0
         payload = json.loads((tmp_path / "run" / "unitary.json").read_text())
-        emitted = io.complex_matrix_from_payload(payload["matrix_re_im"])
+        emitted = complex_matrix_from_payload(payload["matrix_re_im"])
         expected = unitary(
             build_coupling_matrix(paper_ellipse(), CouplingModel()), 1.0
         ).matrix
@@ -208,7 +208,7 @@ class TestHomCommand:
     def test_scan_and_visibility_emitted(self, tmp_path):
         cfg_path = write_config(tmp_path, self.hom_config(tmp_path / "run"))
         assert main(["hom", "--config", cfg_path]) == 0
-        columns, table = io.read_table_csv(tmp_path / "run" / "hom_scan.csv")
+        columns, table = read_table_csv(tmp_path / "run" / "hom_scan.csv")
         assert columns[0] == "delay" and columns[1] == "C_1_1"
         assert table.shape == (41, 1 + 21)  # delay + 21 unordered pairs
         summary = json.loads((tmp_path / "run" / "visibility.json").read_text())
@@ -269,6 +269,62 @@ class TestTomographyCommand:
         record_path.write_text("\n".join(lines[:-40]) + "\n")
         assert main(["tomography", "--config", cfg_path, "--mode", "reconstruct"]) == 3
         assert "incomplete" in capsys.readouterr().err
+
+    def simulated_record(self, tmp_path):
+        cfg_path = write_config(tmp_path, self.pol_config(tmp_path / "run", noise=0.01))
+        assert main(["tomography", "--config", cfg_path, "--mode", "simulate"]) == 0
+        record_path = tmp_path / "run" / "tomography_record.csv"
+        return cfg_path, record_path, record_path.read_text().splitlines()
+
+    def test_record_rows_accepted_in_any_order(self, tmp_path):
+        _, record_path, lines = self.simulated_record(tmp_path)
+        expected = io.read_record_csv(record_path).intensities
+        head, body = lines[:3], lines[3:]
+        shuffled = [body[k] for k in np.random.default_rng(5).permutation(len(body))]
+        for rows in (body[::-1], shuffled):
+            record_path.write_text("\n".join(head + rows) + "\n")
+            np.testing.assert_array_equal(io.read_record_csv(record_path).intensities, expected)
+
+    # case -> (edit of the fields on file line 11, expected stderr substring)
+    BAD_ROWS = {
+        "malformed": (lambda f: f[:4], "malformed record row"),
+        "unparseable": (lambda f: f[:4] + ["x"], "malformed record row"),
+        "unknown_state": (lambda f: f[:1] + ["X"] + f[2:], "unknown polarization state"),
+        "two_letter_state": (lambda f: f[:1] + ["HV"] + f[2:], "unknown polarization state"),
+        "two_letter_analyzer": (lambda f: f[:3] + ["HV"] + f[4:], "unknown polarization state"),
+        "port_zero": (lambda f: ["0"] + f[1:], "port index out of range"),
+        "duplicate_row": (lambda f: ["1", "H", "1", "H", f[4]], "incomplete"),
+    }
+    def run_with_bad_row(self, tmp_path, edit):
+        cfg_path, record_path, lines = self.simulated_record(tmp_path)
+        lines[10] = ",".join(edit(lines[10].split(",")))
+        record_path.write_text("\n".join(lines) + "\n")
+        return main(["tomography", "--config", cfg_path, "--mode", "reconstruct"])
+
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_bad_record_row_is_reconstruction_failure(self, tmp_path, capsys, case):
+        edit, message = self.BAD_ROWS[case]
+        assert self.run_with_bad_row(tmp_path, edit) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "mueller.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(set(BAD_ROWS) - {"duplicate_row"}))
+    def test_bad_record_row_error_names_file_and_line(self, tmp_path, capsys, case):
+        edit, _ = self.BAD_ROWS[case]
+        assert self.run_with_bad_row(tmp_path, edit) == 3
+        assert "tomography_record.csv:11:" in capsys.readouterr().err
+
+    def test_mistyped_port_is_incomplete_record(self, tmp_path, capsys):
+        # a port far beyond the record must not size the array it is read into
+        assert self.run_with_bad_row(tmp_path, lambda f: f[:2] + ["100000"] + f[3:]) == 3
+        assert "incomplete" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_intensity_names_file_and_line(self, tmp_path, capsys, value):
+        assert self.run_with_bad_row(tmp_path, lambda f: f[:4] + [value]) == 3
+        err = capsys.readouterr().err
+        assert "tomography_record.csv:11:" in err and "intensity" in err
+        assert not (tmp_path / "run" / "mueller.json").exists()
 
     def test_noisy_simulation_deterministic_for_fixed_seed(self, tmp_path):
         cfg_path = write_config(tmp_path, self.pol_config(tmp_path / "a", noise=0.01))

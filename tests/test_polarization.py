@@ -22,7 +22,7 @@ from wgwalk.polarization import (
 from wgwalk.propagation import unitary
 from wgwalk.twophoton import gamma_indistinguishable
 
-from helpers import field_stokes, paper_ellipse, random_chip
+from helpers import field_stokes, paper_ellipse, poincare_ellipsoid_reference, random_chip
 
 
 def identity_chip(n=6):
@@ -337,6 +337,39 @@ class TestPoincareEllipsoid:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             poincare_ellipsoid(bad)
+        stack = np.stack([np.eye(4), bad])
+        with pytest.raises(ValueError):
+            poincare_ellipsoid(stack)
+
+    def test_stack_bit_equal_to_per_matrix_reference(self):
+        rng = np.random.default_rng(43)
+        array = reconstruct_mueller(simulate_tomography(random_chip(rng), 0.01, rng))
+        matrices = np.concatenate(
+            [array.matrices.reshape(-1, 4, 4), rng.standard_normal((264, 4, 4))]
+        )
+        matrices[0] = 0.0  # degenerate
+        matrices[1] = np.diag([1.0, 1.0, 1.0, -1.0])  # reflection: det < 0
+        matrices[2] = np.diag([1.0, 0.0, 0.0, 0.0])  # zero-norm markers
+        stack = matrices.reshape(15, 20, 4, 4)
+        batched = poincare_ellipsoid(stack)
+        assert batched.average_power.shape == batched.degenerate.shape == (15, 20)
+        for index in np.ndindex(15, 20):
+            center, axes, rotation, markers, power, degenerate = poincare_ellipsoid_reference(
+                stack[index]
+            )
+            np.testing.assert_array_equal(batched.center[index], center)
+            np.testing.assert_array_equal(batched.semi_axes[index], axes)
+            np.testing.assert_array_equal(batched.orientation[index], rotation)
+            assert sorted(batched.markers) == sorted(markers)
+            for state, marker in markers.items():
+                np.testing.assert_array_equal(batched.markers[state][index], marker)
+            assert batched.average_power[index] == power
+            assert batched.degenerate[index] == degenerate
+            single = poincare_ellipsoid(stack[index])
+            assert single.average_power == power and single.degenerate is degenerate
+        assert batched.degenerate.ravel()[:4].tolist() == [True, False, True, False]
+        np.testing.assert_array_equal(batched.markers["D"].reshape(-1, 3)[2], np.zeros(3))
+        assert np.linalg.det(batched.orientation[0, 1]) == pytest.approx(1.0)
 
 
 class TestExtractHSubspace:
