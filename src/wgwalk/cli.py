@@ -57,10 +57,10 @@ def _chip_propagators(cfg: RunConfig):
         z0, z1 = cfg.layout.z_span
         fan = propagate_z_dependent(
             cfg.layout, cfg.coupling, z0, z1, cfg.steps, cfg.neighbor_cutoff_um
-        ).matrix
+        )
     else:
         fan = np.eye(n, dtype=complex)
-    total = unitary(c, cfg.z_mm).matrix @ fan
+    total = unitary(c, cfg.z_mm) @ fan
     return c, fan, total
 
 
@@ -86,7 +86,7 @@ def cmd_layout(cfg: RunConfig) -> List[Path]:
         samples = np.linspace(z0, z1, cfg.steps + 1)
         payload["profile"] = {
             "z_mm": samples,
-            "positions_um": np.array([layout.positions_at(z) for z in samples]),
+            "positions_um": layout.positions_at(samples),
         }
     layout_path = out / "layout.json"
     io.write_json(layout_path, payload, cfg.digest)
@@ -213,6 +213,7 @@ def _build_chip(cfg: RunConfig):
         loss_v=pol.loss_v,
         z=cfg.z_mm,
         neighbor_cutoff=cfg.neighbor_cutoff_um,
+        steps=cfg.steps,
     )
 
 

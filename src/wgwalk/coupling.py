@@ -8,7 +8,7 @@ propagation constant beta (1/mm).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,29 +49,22 @@ def coupling_constant(r, model: CouplingModel):
 def build_coupling_matrix(
     layout: WaveguideLayout,
     model: CouplingModel,
-    z: Optional[float] = None,
+    z=None,
     neighbor_cutoff: Optional[float] = None,
-    beta_per_guide: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
     """N x N symmetric coupling matrix at a layout cross-section.
 
     Off-diagonal entries apply the exponential law to the pairwise distances
-    (zeroed beyond ``neighbor_cutoff`` um when given). The diagonal is the
-    model's uniform beta, or ``beta_per_guide`` when per-guide propagation
-    constants are needed.
+    (zeroed beyond ``neighbor_cutoff`` um when given); the diagonal is the
+    model's uniform beta. An array of z gives the stack of matrices, shape
+    z.shape + (N, N).
     """
     r = pairwise_distances(layout, z)
-    n = r.shape[0]
-    c = np.zeros((n, n))
+    n = r.shape[-1]
+    c = np.zeros(r.shape)
     off = ~np.eye(n, dtype=bool)
-    c[off] = coupling_constant(r[off], model)
+    c[..., off] = coupling_constant(r[..., off], model)
     if neighbor_cutoff is not None:
         c[off & (r > neighbor_cutoff)] = 0.0
-    if beta_per_guide is None:
-        np.fill_diagonal(c, model.beta_per_mm)
-    else:
-        beta = np.asarray(beta_per_guide, dtype=float)
-        if beta.shape != (n,):
-            raise ValueError(f"beta_per_guide must have length {n}")
-        np.fill_diagonal(c, beta)
+    c[..., ~off] = model.beta_per_mm
     return c

@@ -22,11 +22,12 @@ class WaveguideLayout:
 
     ``positions`` is an (N, 2) array in um. For z-dependent layouts it holds
     the cross-section at the end of the span, and ``z_profile`` maps a
-    propagation distance in ``z_span`` (mm) to the full (N, 2) cross-section.
+    propagation distance in ``z_span`` (mm) to the full (N, 2) cross-section,
+    or an array of distances to the stack of cross-sections.
     """
 
     positions: np.ndarray
-    z_profile: Optional[Callable[[float], np.ndarray]] = None
+    z_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
     z_span: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
@@ -43,15 +44,21 @@ class WaveguideLayout:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    def positions_at(self, z: Optional[float] = None) -> np.ndarray:
-        """Cross-section at propagation distance z, or the static one."""
+    def positions_at(self, z=None) -> np.ndarray:
+        """Cross-section at propagation distance z, or the static one.
+
+        An array of z gives the stacked cross-sections, shape z.shape + (N, 2).
+        """
         if z is None:
             return self.positions
         if self.z_profile is None:
             raise ValueError("layout has no z_profile")
         z0, z1 = self.z_span
-        if not z0 <= z <= z1:
-            raise ValueError(f"z = {z} mm outside profile domain [{z0}, {z1}] mm")
+        zs = np.asarray(z)
+        outside = ~((z0 <= zs) & (zs <= z1))  # NaN counts as outside
+        if np.any(outside):
+            bad = zs[outside][0] if zs.ndim else z
+            raise ValueError(f"z = {bad} mm outside profile domain [{z0}, {z1}] mm")
         return self.z_profile(z)
 
 
@@ -91,36 +98,17 @@ def permuted_layout(layout: WaveguideLayout, order: Sequence[int]) -> WaveguideL
     profile = layout.z_profile
     return WaveguideLayout(
         layout.positions[idx],
-        z_profile=lambda z: profile(z)[idx],
+        z_profile=lambda z: profile(z)[..., idx, :],
         z_span=layout.z_span,
     )
 
 
-def _raised_sine(start: np.ndarray, end: np.ndarray, length: float, z: float):
-    # zero-slope-at-endpoints S-bend, applied component-wise
-    u = z / length
+def _raised_sine(start: np.ndarray, end: np.ndarray, length: float, z):
+    # zero-slope-at-endpoints S-bend, applied component-wise; an array of z
+    # gives one (N, 2) cross-section per entry
+    u = np.asarray(z, dtype=float)[..., None, None] / length
     s = u - np.sin(_TWO_PI * u) / _TWO_PI
     return start + (end - start) * s
-
-
-def raised_sine_path(start, end, length: float) -> Callable[[float], np.ndarray]:
-    """S-bend path from ``start`` to ``end`` over z in [0, length] mm.
-
-    The trajectory is x(z) = x0 + dx (z/L - sin(2 pi z/L)/(2 pi)) per
-    coordinate: endpoints are exact and the first derivative vanishes at both
-    ends, the standard bend-loss-minimizing form.
-    """
-    if length <= 0:
-        raise ValueError("path length must be positive")
-    p0 = np.asarray(start, dtype=float)
-    p1 = np.asarray(end, dtype=float)
-
-    def path(z: float) -> np.ndarray:
-        if not 0.0 <= z <= length:
-            raise ValueError(f"z = {z} mm outside path domain [0, {length}] mm")
-        return _raised_sine(p0, p1, length, z)
-
-    return path
 
 
 def fan_in_layout(
@@ -146,20 +134,24 @@ def fan_in_layout(
     p1 = intermediate.positions
     p2 = final.positions
 
-    def profile(z: float) -> np.ndarray:
-        if z <= stage1_length:
-            return _raised_sine(p0, p1, stage1_length, z)
-        return _raised_sine(p1, p2, stage2_length, z - stage1_length)
+    def profile(z) -> np.ndarray:
+        first = np.asarray(z, dtype=float)[..., None, None] <= stage1_length
+        return np.where(
+            first,
+            _raised_sine(p0, p1, stage1_length, z),
+            _raised_sine(p1, p2, stage2_length, np.subtract(z, stage1_length)),
+        )
 
     return WaveguideLayout(
         p2.copy(), z_profile=profile, z_span=(0.0, stage1_length + stage2_length)
     )
 
 
-def pairwise_distances(
-    layout: WaveguideLayout, z: Optional[float] = None
-) -> np.ndarray:
-    """Symmetric matrix of Euclidean core separations (um) at a cross-section."""
+def pairwise_distances(layout: WaveguideLayout, z=None) -> np.ndarray:
+    """Symmetric matrix of Euclidean core separations (um) at a cross-section.
+
+    An array of z gives the stack of matrices, shape z.shape + (N, N).
+    """
     pos = layout.positions_at(z)
-    diff = pos[:, None, :] - pos[None, :, :]
+    diff = pos[..., :, None, :] - pos[..., None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=-1))

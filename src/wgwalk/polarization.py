@@ -20,7 +20,7 @@ import numpy as np
 
 from .coupling import CouplingModel, build_coupling_matrix
 from .geometry import WaveguideLayout
-from .propagation import unitary
+from .propagation import unitary, z_ordered_product
 
 PASSIVITY_TOL = 1e-9
 
@@ -94,11 +94,6 @@ class JonesTransfer:
     @property
     def n_ports(self) -> int:
         return self.matrix.shape[0] // 2
-
-    def port_block(self, out_port: int, in_port: int) -> np.ndarray:
-        """2 x 2 Jones block from one input port to one output port."""
-        r, c = 2 * out_port, 2 * in_port
-        return self.matrix[r : r + 2, c : c + 2]
 
 
 @dataclass(frozen=True)
@@ -194,6 +189,7 @@ def build_polarized_chip(
     loss_v: Optional[Sequence[float]] = None,
     z: float = 1.0,
     neighbor_cutoff: Optional[float] = None,
+    steps: int = 64,
 ) -> JonesTransfer:
     """Jones transfer of a chip with polarization-dependent imperfections.
 
@@ -201,12 +197,14 @@ def build_polarized_chip(
     through ``model_h`` and vertical modes through ``model_v``; per-guide
     ``birefringence`` (1/mm) splits the propagation constants by +d/2 on H
     and -d/2 on V, and ``pol_rotation`` (1/mm) mixes H and V within each
-    guide. Propagation over z mm is the exact exponential of the generator;
-    ``loss_h``/``loss_v`` amplitude attenuations in (0, 1] are applied to the
-    output modes after propagation.
+    guide. A layout with a z profile is first propagated through its fan-in
+    by the ``steps``-segment z-ordered product of that generator; the final
+    cross-section then acts over z mm as the exact exponential of the
+    generator. ``loss_h``/``loss_v`` amplitude attenuations in (0, 1] are
+    applied to the output modes after propagation.
 
     With equal coupling models, zero birefringence and rotation, and unit
-    losses, the result is exactly the scalar propagator tensored with the
+    losses, the result is the scalar propagator tensored with the
     polarization identity.
     """
     n = layout.n
@@ -217,19 +215,24 @@ def build_polarized_chip(
     for name, att in (("loss_h", att_h), ("loss_v", att_v)):
         if np.any(att <= 0) or np.any(att > 1):
             raise ValueError(f"{name} amplitudes must lie in (0, 1]")
-
-    c_h = build_coupling_matrix(layout, model_h, neighbor_cutoff=neighbor_cutoff)
-    c_v = build_coupling_matrix(layout, model_v, neighbor_cutoff=neighbor_cutoff)
-    generator = np.zeros((2 * n, 2 * n))
-    generator[0::2, 0::2] = c_h
-    generator[1::2, 1::2] = c_v
     idx = np.arange(n)
-    generator[2 * idx, 2 * idx] += delta_beta / 2.0
-    generator[2 * idx + 1, 2 * idx + 1] -= delta_beta / 2.0
-    generator[2 * idx, 2 * idx + 1] = mixing
-    generator[2 * idx + 1, 2 * idx] = mixing
 
-    propagated = unitary(generator, z).matrix
+    def generator(z_at=None) -> np.ndarray:
+        c_h = build_coupling_matrix(layout, model_h, z=z_at, neighbor_cutoff=neighbor_cutoff)
+        c_v = build_coupling_matrix(layout, model_v, z=z_at, neighbor_cutoff=neighbor_cutoff)
+        g = np.zeros(c_h.shape[:-2] + (2 * n, 2 * n))
+        g[..., 0::2, 0::2] = c_h
+        g[..., 1::2, 1::2] = c_v
+        g[..., 2 * idx, 2 * idx] += delta_beta / 2.0
+        g[..., 2 * idx + 1, 2 * idx + 1] -= delta_beta / 2.0
+        g[..., 2 * idx, 2 * idx + 1] = mixing
+        g[..., 2 * idx + 1, 2 * idx] = mixing
+        return g
+
+    propagated = unitary(generator(), z)
+    if layout.z_profile is not None:
+        z0, z1 = layout.z_span
+        propagated = propagated @ z_ordered_product(generator, z0, z1, steps)
     attenuation = np.empty(2 * n)
     attenuation[0::2] = att_h
     attenuation[1::2] = att_v

@@ -1,15 +1,14 @@
-"""Propagators U(z) = exp(i z C) and single-photon observables.
+"""Propagators U(z) = exp(i z C), amplitude traces and z-ordered products.
 
 The matrix exponential of the real-symmetric (more generally Hermitian)
 coupling matrix is evaluated spectrally, so the result is unitary by
-construction. ``matrix[k, j]`` is the complex amplitude from input port j to
+construction. ``u[k, j]`` is the complex amplitude from input port j to
 output port k; ports are 0-based throughout the library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,27 +19,15 @@ from .geometry import WaveguideLayout
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class Propagator:
-    """Port-to-port transfer matrix accumulated over length z (mm)."""
-
-    matrix: np.ndarray
-    z: float
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def _as_transfer_matrix(propagator) -> np.ndarray:
-    return np.asarray(getattr(propagator, "matrix", propagator))
+# Segments whose generators are sampled and diagonalized together by
+# z_ordered_product; bounds its temporaries at this many cross-sections.
+SEGMENTS_PER_BATCH = 32
 
 
 def _check_hermitian(c: np.ndarray, tol: float) -> None:
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise ValueError("coupling matrix must be square")
-    deviation = np.max(np.abs(c - c.conj().T))
+    deviation = np.max(np.abs(c - np.swapaxes(c, -1, -2).conj()))
     if deviation > tol:
         raise ValueError(
             f"coupling matrix is not Hermitian (max deviation {deviation:.3e})"
@@ -49,27 +36,20 @@ def _check_hermitian(c: np.ndarray, tol: float) -> None:
 
 def unitary(
     coupling_matrix: np.ndarray, z: float, hermiticity_tol: float = HERMITICITY_TOL
-) -> Propagator:
+) -> np.ndarray:
     """Propagator exp(i z C) of a Hermitian coupling matrix.
 
     Uses the eigendecomposition of C, so unitarity holds to machine precision
-    regardless of ||z C||.
+    regardless of ||z C||. A stack of shape (..., n, n) gives the stack of
+    propagators over the same length z, each equal bit for bit to the call on
+    that matrix alone.
     """
     c = np.asarray(coupling_matrix)
     _check_hermitian(c, hermiticity_tol)
     if z < 0:
         raise ValueError("propagation length must be nonnegative")
     w, v = np.linalg.eigh(c)
-    u = (v * np.exp(1j * z * w)) @ v.conj().T
-    return Propagator(u, float(z))
-
-
-def single_photon_distribution(propagator, input_port: int) -> np.ndarray:
-    """Output probabilities |U[k, input]|^2; sums to 1 for unitary U."""
-    u = _as_transfer_matrix(propagator)
-    if not 0 <= input_port < u.shape[0]:
-        raise IndexError(f"input port {input_port} out of range for {u.shape[0]} ports")
-    return np.abs(u[:, input_port]) ** 2
+    return (v * np.exp(1j * z * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def evolve_amplitudes(
@@ -92,25 +72,36 @@ def evolve_amplitudes(
     return (phases * modal) @ v.T
 
 
-def intensity_trace(
-    coupling_matrix: np.ndarray, input_port: int, z_grid: Sequence[float]
+def z_ordered_product(
+    generator: Callable[[np.ndarray], np.ndarray],
+    z_start: float,
+    z_end: float,
+    steps: int,
 ) -> np.ndarray:
-    """Single-photon output distribution at each z of a nondecreasing grid.
+    """Transfer matrix of the z-dependent generator H(z) over [z_start, z_end].
 
-    Returns one row per grid point; every row sums to 1 for Hermitian C.
+    The interval is split into ``steps`` equal segments; segment k applies
+    exp(i dz H(z_k)) with H sampled at its midpoint z_k, and the product is
+    taken in z order (later segments on the left). It converges to the
+    z-ordered exponential as steps grows. ``generator`` maps an array of z to
+    the stack of Hermitian matrices there (N x N scalar couplings or 2N x 2N
+    Jones generators alike); it is called once per batch of
+    ``SEGMENTS_PER_BATCH`` midpoints.
     """
-    z_grid = np.asarray(z_grid, dtype=float)
-    if z_grid.ndim != 1 or z_grid.size == 0:
-        raise ValueError("z_grid must be a nonempty 1-D sequence")
-    if np.any(np.diff(z_grid) < 0):
-        raise ValueError("z_grid must be nondecreasing")
-    n = np.asarray(coupling_matrix).shape[0]
-    if not 0 <= input_port < n:
-        raise IndexError(f"input port {input_port} out of range for {n} ports")
-    one_hot = np.zeros(n, dtype=complex)
-    one_hot[input_port] = 1.0
-    amps = evolve_amplitudes(coupling_matrix, one_hot, z_grid)
-    return np.abs(amps) ** 2
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    if z_end < z_start:
+        raise ValueError("z_end must not precede z_start")
+    dz = (z_end - z_start) / steps
+    midpoints = z_start + (np.arange(steps) + 0.5) * dz
+    u = None
+    for first in range(0, steps, SEGMENTS_PER_BATCH):
+        segments = unitary(generator(midpoints[first : first + SEGMENTS_PER_BATCH]), dz)
+        if u is None:
+            u = np.eye(segments.shape[-1], dtype=complex)
+        for segment in segments:
+            u = segment @ u
+    return u
 
 
 def propagate_z_dependent(
@@ -120,22 +111,15 @@ def propagate_z_dependent(
     z_end: float,
     steps: int,
     neighbor_cutoff: Optional[float] = None,
-) -> Propagator:
-    """Ordered product of short-segment propagators along a z-dependent layout.
+) -> np.ndarray:
+    """Midpoint-rule z-ordered product of exp(i dz C(z)) along a z-dependent layout.
 
-    The interval is split into ``steps`` equal segments; each segment applies
-    exp(i dz C(z_mid)) with the coupling matrix sampled at its midpoint. The
-    product converges to the z-ordered exponential as steps grows (the layout
-    profile must cover [z_start, z_end]).
+    See :func:`z_ordered_product`; the layout profile must cover
+    [z_start, z_end].
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if z_end < z_start:
-        raise ValueError("z_end must not precede z_start")
-    dz = (z_end - z_start) / steps
-    u = np.eye(layout.n, dtype=complex)
-    for k in range(steps):
-        z_mid = z_start + (k + 0.5) * dz
-        c = build_coupling_matrix(layout, model, z=z_mid, neighbor_cutoff=neighbor_cutoff)
-        u = unitary(c, dz).matrix @ u
-    return Propagator(u, z_end - z_start)
+    return z_ordered_product(
+        lambda z: build_coupling_matrix(layout, model, z=z, neighbor_cutoff=neighbor_cutoff),
+        z_start,
+        z_end,
+        steps,
+    )

@@ -14,8 +14,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .propagation import _as_transfer_matrix
-
 KIND_INDISTINGUISHABLE = "indistinguishable"
 KIND_DISTINGUISHABLE = "distinguishable"
 KIND_DIFFERENCE = "difference"
@@ -75,7 +73,7 @@ def gamma_indistinguishable(propagator, i: int, j: int) -> CorrelationMatrix:
     The pair amplitudes interfere: entry (k, l) is
     |U[k,i] U[l,j] + U[k,j] U[l,i]|^2 / (1 + delta_{k,l}).
     """
-    u = _as_transfer_matrix(propagator)
+    u = np.asarray(propagator)
     i, j = _validated_inputs(u, i, j)
     pair = np.outer(u[:, i], u[:, j])
     amplitudes = pair + pair.T
@@ -89,7 +87,7 @@ def gamma_distinguishable(propagator, i: int, j: int) -> CorrelationMatrix:
     Each photon walks on its own; entry (k, l) is the Bernoulli-trial sum
     (|U[k,i] U[l,j]|^2 + |U[k,j] U[l,i]|^2) / (1 + delta_{k,l}).
     """
-    u = _as_transfer_matrix(propagator)
+    u = np.asarray(propagator)
     i, j = _validated_inputs(u, i, j)
     p_i = np.abs(u[:, i]) ** 2
     p_j = np.abs(u[:, j]) ** 2
@@ -106,35 +104,6 @@ def quantum_difference(propagator, i: int, j: int) -> CorrelationMatrix:
     gi = gamma_indistinguishable(propagator, i, j)
     gd = gamma_distinguishable(propagator, i, j)
     return CorrelationMatrix(gd.values - gi.values, KIND_DIFFERENCE, (i, j))
-
-
-def fock_oracle(propagator, i: int, j: int) -> CorrelationMatrix:
-    """Brute-force two-photon evolution in the photon-number basis.
-
-    Expands the two-photon input over all ordered output mode pairs, collects
-    amplitudes onto the N(N+1)/2 unordered number-basis states (sqrt(2)
-    normalization for doubly occupied modes), and squares. Deliberately
-    loop-based and independent of the closed-form correlation expressions.
-    """
-    u = _as_transfer_matrix(propagator)
-    i, j = _validated_inputs(u, i, j)
-    n = u.shape[0]
-    basis = [(k, l) for k in range(n) for l in range(k, n)]
-    index = {pair: pos for pos, pair in enumerate(basis)}
-    amplitudes = np.zeros(len(basis), dtype=complex)
-    for m in range(n):  # output mode of the photon from input i
-        for q in range(n):  # output mode of the photon from input j
-            contribution = u[m, i] * u[q, j]
-            if m == q:
-                amplitudes[index[(m, m)]] += np.sqrt(2.0) * contribution
-            else:
-                amplitudes[index[(min(m, q), max(m, q))]] += contribution
-    probabilities = np.abs(amplitudes) ** 2
-    values = np.zeros((n, n))
-    for (k, l), pos in index.items():
-        values[k, l] = probabilities[pos]
-        values[l, k] = probabilities[pos]
-    return CorrelationMatrix(values, KIND_INDISTINGUISHABLE, (i, j))
 
 
 def hom_scan(

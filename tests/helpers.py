@@ -2,19 +2,25 @@
 
 The oracles here deliberately avoid the code paths they check: the matrix
 exponential uses scaling-and-squaring of a truncated Taylor series instead of
-an eigendecomposition, and Stokes vectors of pure fields are computed from
-first principles.
+an eigendecomposition, two-photon statistics come from brute-force Fock-space
+evolution, the z-ordered product is the one-segment-at-a-time loop, and
+Stokes vectors of pure fields are computed from first principles. The
+single-photon helpers and the raised-sine path are conveniences that only the
+tests use.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from wgwalk.coupling import CouplingModel
-from wgwalk.geometry import elliptical_layout
+from wgwalk.coupling import CouplingModel, build_coupling_matrix
+from wgwalk.geometry import WaveguideLayout, _raised_sine, elliptical_layout
 from wgwalk.polarization import STATE_ORDER, STOKES_STATES, JonesTransfer, build_polarized_chip
+from wgwalk.propagation import evolve_amplitudes, unitary
+from wgwalk.twophoton import KIND_INDISTINGUISHABLE, CorrelationMatrix, _validated_inputs
 
 PAPER_SEMI_MAJOR_UM = 10.2
 PAPER_SEMI_MINOR_UM = 7.0
@@ -142,3 +148,107 @@ def poincare_ellipsoid_reference(m: np.ndarray, degenerate_tol: float = 1e-12):
     average_power = float(np.mean([(m @ STOKES_STATES[s])[0] for s in STATE_ORDER]))
     degenerate = bool(np.all(axes <= degenerate_tol))
     return m[1:, 0].copy(), axes, rotation, markers, average_power, degenerate
+
+
+def fock_oracle(propagator, i: int, j: int) -> CorrelationMatrix:
+    """Brute-force two-photon evolution in the photon-number basis.
+
+    Expands the two-photon input over all ordered output mode pairs, collects
+    amplitudes onto the N(N+1)/2 unordered number-basis states (sqrt(2)
+    normalization for doubly occupied modes), and squares. Deliberately
+    loop-based and independent of the closed-form correlation expressions.
+    """
+    u = np.asarray(propagator)
+    i, j = _validated_inputs(u, i, j)
+    n = u.shape[0]
+    basis = [(k, l) for k in range(n) for l in range(k, n)]
+    index = {pair: pos for pos, pair in enumerate(basis)}
+    amplitudes = np.zeros(len(basis), dtype=complex)
+    for m in range(n):  # output mode of the photon from input i
+        for q in range(n):  # output mode of the photon from input j
+            contribution = u[m, i] * u[q, j]
+            if m == q:
+                amplitudes[index[(m, m)]] += np.sqrt(2.0) * contribution
+            else:
+                amplitudes[index[(min(m, q), max(m, q))]] += contribution
+    probabilities = np.abs(amplitudes) ** 2
+    values = np.zeros((n, n))
+    for (k, l), pos in index.items():
+        values[k, l] = probabilities[pos]
+        values[l, k] = probabilities[pos]
+    return CorrelationMatrix(values, KIND_INDISTINGUISHABLE, (i, j))
+
+
+def propagate_per_step(
+    layout: WaveguideLayout,
+    model: CouplingModel,
+    z_start: float,
+    z_end: float,
+    steps: int,
+    neighbor_cutoff: Optional[float] = None,
+) -> np.ndarray:
+    """Midpoint-rule z-ordered product built one segment at a time: the
+    bit-level reference for the batched ``propagate_z_dependent``."""
+    dz = (z_end - z_start) / steps
+    u = np.eye(layout.n, dtype=complex)
+    for k in range(steps):
+        z_mid = z_start + (k + 0.5) * dz
+        c = build_coupling_matrix(layout, model, z=z_mid, neighbor_cutoff=neighbor_cutoff)
+        u = unitary(c, dz) @ u
+    return u
+
+
+def single_photon_distribution(propagator, input_port: int) -> np.ndarray:
+    """Output probabilities |U[k, input]|^2; sums to 1 for unitary U."""
+    u = np.asarray(propagator)
+    if not 0 <= input_port < u.shape[0]:
+        raise IndexError(f"input port {input_port} out of range for {u.shape[0]} ports")
+    return np.abs(u[:, input_port]) ** 2
+
+
+def intensity_trace(
+    coupling_matrix: np.ndarray, input_port: int, z_grid: Sequence[float]
+) -> np.ndarray:
+    """Single-photon output distribution at each z of a nondecreasing grid.
+
+    Returns one row per grid point; every row sums to 1 for Hermitian C.
+    """
+    z_grid = np.asarray(z_grid, dtype=float)
+    if z_grid.ndim != 1 or z_grid.size == 0:
+        raise ValueError("z_grid must be a nonempty 1-D sequence")
+    if np.any(np.diff(z_grid) < 0):
+        raise ValueError("z_grid must be nondecreasing")
+    n = np.asarray(coupling_matrix).shape[0]
+    if not 0 <= input_port < n:
+        raise IndexError(f"input port {input_port} out of range for {n} ports")
+    one_hot = np.zeros(n, dtype=complex)
+    one_hot[input_port] = 1.0
+    amps = evolve_amplitudes(coupling_matrix, one_hot, z_grid)
+    return np.abs(amps) ** 2
+
+
+def raised_sine_path(start, end, length: float) -> Callable[[float], np.ndarray]:
+    """S-bend path from ``start`` to ``end`` over z in [0, length] mm, through
+    the library's fan-in bend.
+
+    The trajectory is x(z) = x0 + dx (z/L - sin(2 pi z/L)/(2 pi)) per
+    coordinate: endpoints are exact and the first derivative vanishes at both
+    ends, the standard bend-loss-minimizing form.
+    """
+    if length <= 0:
+        raise ValueError("path length must be positive")
+    p0 = np.asarray(start, dtype=float)
+    p1 = np.asarray(end, dtype=float)
+
+    def path(z: float) -> np.ndarray:
+        if not 0.0 <= z <= length:
+            raise ValueError(f"z = {z} mm outside path domain [0, {length}] mm")
+        return _raised_sine(p0, p1, length, z).reshape(p0.shape)
+
+    return path
+
+
+def port_block(chip: JonesTransfer, out_port: int, in_port: int) -> np.ndarray:
+    """2 x 2 Jones block from one input port to one output port."""
+    r, c = 2 * out_port, 2 * in_port
+    return chip.matrix[r : r + 2, c : c + 2]

@@ -10,6 +10,7 @@ import pytest
 from wgwalk import io
 from wgwalk.cli import main
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
+from wgwalk.polarization import MuellerArray, extract_h_subspace
 from wgwalk.propagation import unitary
 from wgwalk.twophoton import gamma_indistinguishable, similarity
 
@@ -40,6 +41,16 @@ def base_config(out_dir, **overrides):
     return cfg
 
 
+FANIN_LAYOUT = {
+    "kind": "fanin",
+    "input": {"kind": "ellipse", "count": 6, "semi_major_um": 40.8, "semi_minor_um": 28.0},
+    "intermediate": {"kind": "ellipse", "count": 6, "semi_major_um": 20.4, "semi_minor_um": 14.0},
+    "final": {"kind": "ellipse", "count": 6, "semi_major_um": 10.2, "semi_minor_um": 7.0},
+    "stage1_mm": 8.5,
+    "stage2_mm": 1.0,
+}
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -68,18 +79,7 @@ class TestLayoutCommand:
         assert distances.max() == 635.0
 
     def test_fanin_layout_profile_samples(self, tmp_path):
-        cfg = base_config(
-            tmp_path / "run",
-            layout={
-                "kind": "fanin",
-                "input": {"kind": "ellipse", "count": 6, "semi_major_um": 40.8, "semi_minor_um": 28.0},
-                "intermediate": {"kind": "ellipse", "count": 6, "semi_major_um": 20.4, "semi_minor_um": 14.0},
-                "final": {"kind": "ellipse", "count": 6, "semi_major_um": 10.2, "semi_minor_um": 7.0},
-                "stage1_mm": 8.5,
-                "stage2_mm": 1.0,
-            },
-            steps=16,
-        )
+        cfg = base_config(tmp_path / "run", layout=FANIN_LAYOUT, steps=16)
         cfg_path = write_config(tmp_path, cfg)
         assert main(["layout", "--config", cfg_path]) == 0
         payload = json.loads((tmp_path / "run" / "layout.json").read_text())
@@ -150,7 +150,7 @@ class TestPropagateCommand:
         emitted = complex_matrix_from_payload(payload["matrix_re_im"])
         expected = unitary(
             build_coupling_matrix(paper_ellipse(), CouplingModel()), 1.0
-        ).matrix
+        )
         np.testing.assert_allclose(emitted, expected, atol=1e-12)
 
     def test_deterministic_across_runs(self, tmp_path):
@@ -256,6 +256,21 @@ class TestTomographyCommand:
         assert len(ellipsoids["ellipsoids"]) == 6
         pdl = json.loads((tmp_path / "run" / "pdl.json").read_text())
         assert len(pdl["excess_v_loss_by_input_port"]) == 6
+
+    def test_fan_in_tomography_recovers_the_scalar_chip(self, tmp_path):
+        # equal H/V coupling, no imperfections: the H subspace of the
+        # reconstructed Mueller array is |U|^2 of the chip, fan-in included
+        cfg = base_config(tmp_path / "run", layout=FANIN_LAYOUT, steps=96, polarization={})
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["propagate", "--config", cfg_path]) == 0
+        assert main(["tomography", "--config", cfg_path, "--mode", "simulate"]) == 0
+        assert main(["tomography", "--config", cfg_path, "--mode", "reconstruct"]) == 0
+        payload = json.loads((tmp_path / "run" / "mueller.json").read_text())
+        matrices = np.asarray(payload["matrices"])
+        h_subspace = extract_h_subspace(MuellerArray(matrices, np.asarray(payload["residuals"])))
+        unitary_payload = json.loads((tmp_path / "run" / "unitary.json").read_text())
+        u = complex_matrix_from_payload(unitary_payload["matrix_re_im"])
+        np.testing.assert_allclose(h_subspace, np.abs(u) ** 2, rtol=0, atol=1e-10)
 
     def test_reconstruct_without_record_is_config_error(self, tmp_path):
         cfg_path = write_config(tmp_path, self.pol_config(tmp_path / "run"))

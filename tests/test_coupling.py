@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from wgwalk.coupling import CouplingModel, build_coupling_matrix, coupling_constant
-from wgwalk.geometry import WaveguideLayout, linear_layout, pairwise_distances
+from wgwalk.geometry import (
+    WaveguideLayout,
+    elliptical_layout,
+    fan_in_layout,
+    linear_layout,
+    pairwise_distances,
+    permuted_layout,
+)
 
 from helpers import paper_ellipse
 
@@ -110,13 +117,6 @@ class TestBuildCouplingMatrix:
         assert c[0, 1] > 0 and c[2, 3] > 0
         np.testing.assert_array_equal(c, c.T)
 
-    def test_per_guide_beta_vector(self):
-        beta = [0.1, -0.2, 0.3]
-        c = build_coupling_matrix(linear_layout(3, 12.0), MODEL, beta_per_guide=beta)
-        np.testing.assert_array_equal(np.diagonal(c), beta)
-        with pytest.raises(ValueError):
-            build_coupling_matrix(linear_layout(3, 12.0), MODEL, beta_per_guide=[0.1])
-
     def test_z_dependent_cross_section(self):
         from wgwalk.geometry import fan_in_layout
 
@@ -129,3 +129,21 @@ class TestBuildCouplingMatrix:
         np.testing.assert_allclose(
             c_end, build_coupling_matrix(final, MODEL), atol=1e-12
         )
+
+    @pytest.mark.parametrize("cutoff", [None, 25.0])
+    def test_stacked_z_bit_equal_to_per_z_calls(self, cutoff):
+        outer = elliptical_layout(6, 40.8, 28.0)
+        mid = elliptical_layout(6, 20.4, 14.0)
+        layout = permuted_layout(
+            fan_in_layout(outer, mid, paper_ellipse(), 8.5, 1.0), [0, 1, 2, 5, 4, 3]
+        )
+        model = CouplingModel(beta_per_mm=0.3)
+        z = np.concatenate([np.linspace(0.0, 9.5, 41), [8.5]])
+        stacked = build_coupling_matrix(layout, model, z=z, neighbor_cutoff=cutoff)
+        per_z = np.stack(
+            [build_coupling_matrix(layout, model, z=float(v), neighbor_cutoff=cutoff) for v in z]
+        )
+        assert stacked.shape == (z.size, 6, 6)
+        assert np.array_equal(stacked, per_z)
+        with pytest.raises(ValueError, match=r"z = 9\.75 mm"):
+            build_coupling_matrix(layout, model, z=np.array([1.0, 9.75]))

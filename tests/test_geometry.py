@@ -10,10 +10,9 @@ from wgwalk.geometry import (
     linear_layout,
     pairwise_distances,
     permuted_layout,
-    raised_sine_path,
 )
 
-from helpers import PAPER_SEMI_MAJOR_UM, PAPER_SEMI_MINOR_UM, paper_ellipse
+from helpers import PAPER_SEMI_MAJOR_UM, PAPER_SEMI_MINOR_UM, paper_ellipse, raised_sine_path
 
 
 class TestLinearLayout:
@@ -172,6 +171,34 @@ class TestFanInLayout:
     def test_static_layout_rejects_z_queries(self):
         with pytest.raises(ValueError):
             pairwise_distances(paper_ellipse(), z=1.0)
+
+
+# z samples that include both ends of the span and the stage boundary
+_Z_SAMPLES = np.concatenate([np.linspace(0.0, 9.5, 77), [8.5, 8.5 - 1e-12, 8.5 + 1e-12]])
+
+
+class TestStackedCrossSections:
+    @pytest.mark.parametrize("order", [None, [0, 1, 2, 5, 4, 3]])
+    def test_stacked_positions_bit_equal_to_per_z_calls(self, order):
+        layout = _paper_front_end()
+        if order is not None:
+            layout = permuted_layout(layout, order)
+        stacked = layout.positions_at(_Z_SAMPLES)
+        assert stacked.shape == (_Z_SAMPLES.size, 6, 2)
+        per_z = np.stack([layout.positions_at(float(z)) for z in _Z_SAMPLES])
+        assert np.array_equal(stacked, per_z)
+
+    def test_stacked_distances_bit_equal_to_per_z_calls(self):
+        layout = permuted_layout(_paper_front_end(), [3, 1, 2, 0, 5, 4])
+        per_z = np.stack([pairwise_distances(layout, float(z)) for z in _Z_SAMPLES])
+        assert np.array_equal(pairwise_distances(layout, _Z_SAMPLES), per_z)
+
+    def test_out_of_domain_z_in_array_is_named(self):
+        layout = _paper_front_end()
+        with pytest.raises(ValueError, match=r"z = 12\.25 mm outside profile domain"):
+            layout.positions_at(np.array([0.5, 12.25, 9.0]))
+        with pytest.raises(ValueError, match=r"z = -0\.5 mm"):
+            pairwise_distances(layout, np.array([[1.0, 2.0], [-0.5, 3.0]]))
 
 
 class TestPairwiseDistances:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
-from wgwalk.geometry import linear_layout
+from wgwalk.geometry import elliptical_layout, fan_in_layout, linear_layout
 from wgwalk.polarization import (
     JONES_STATES,
     STATE_ORDER,
@@ -19,10 +19,16 @@ from wgwalk.polarization import (
     simulate_tomography,
     stokes_from_intensities,
 )
-from wgwalk.propagation import unitary
+from wgwalk.propagation import propagate_z_dependent, unitary
 from wgwalk.twophoton import gamma_indistinguishable
 
-from helpers import field_stokes, paper_ellipse, poincare_ellipsoid_reference, random_chip
+from helpers import (
+    field_stokes,
+    paper_ellipse,
+    poincare_ellipsoid_reference,
+    port_block,
+    random_chip,
+)
 
 
 def identity_chip(n=6):
@@ -32,7 +38,7 @@ def identity_chip(n=6):
 def scalar_chip(z=1.3):
     model = CouplingModel()
     chip = build_polarized_chip(paper_ellipse(), model, model, z=z)
-    u = unitary(build_coupling_matrix(paper_ellipse(), model), z).matrix
+    u = unitary(build_coupling_matrix(paper_ellipse(), model), z)
     return chip, u
 
 
@@ -120,7 +126,7 @@ class TestJonesTransfer:
     def test_port_block_indexing(self):
         m = np.arange(16, dtype=complex).reshape(4, 4) / 100.0
         chip = JonesTransfer(m, 1.0)
-        np.testing.assert_array_equal(chip.port_block(1, 0), m[2:4, 0:2])
+        np.testing.assert_array_equal(port_block(chip, 1, 0), m[2:4, 0:2])
         assert chip.n_ports == 2
 
 
@@ -174,6 +180,24 @@ class TestBuildPolarizedChip:
         model = CouplingModel()
         chip = build_polarized_chip(layout, model, model, pol_rotation=[0.3], z=1.0)
         assert abs(chip.matrix[1, 0]) > 0.1
+
+    def test_fan_in_chip_is_scalar_chip_tensored_with_identity(self):
+        outer = elliptical_layout(6, 40.8, 28.0)
+        mid = elliptical_layout(6, 20.4, 14.0)
+        layout = fan_in_layout(outer, mid, paper_ellipse(), 8.5, 1.0)
+        model = CouplingModel()
+        chip = build_polarized_chip(layout, model, model, z=1.0, steps=96)
+        fan = propagate_z_dependent(layout, model, 0.0, 9.5, 96)
+        total = unitary(build_coupling_matrix(layout, model), 1.0) @ fan
+        np.testing.assert_allclose(chip.matrix, np.kron(total, np.eye(2)), atol=1e-12)
+
+    def test_birefringence_acts_along_the_fan_in(self):
+        entry = linear_layout(1, 10.0)
+        layout = fan_in_layout(entry, entry, entry, 2.0, 0.5)
+        model = CouplingModel()
+        chip = build_polarized_chip(layout, model, model, birefringence=[2.0], z=1.0, steps=5)
+        relative = chip.matrix[0, 0] / chip.matrix[1, 1]
+        assert abs(relative - np.exp(2.0j * (1.0 + 2.5))) < 1e-12
 
     def test_parameter_validation(self):
         layout = paper_ellipse()
@@ -241,7 +265,7 @@ class TestReconstructMueller:
                 for j in range(6):
                     np.testing.assert_allclose(
                         array.matrices[i, j],
-                        jones_to_mueller(chip.port_block(i, j)),
+                        jones_to_mueller(port_block(chip, i, j)),
                         atol=1e-8,
                     )
 
@@ -266,7 +290,7 @@ class TestReconstructMueller:
         chip = random_chip(rng)
         truth = np.stack(
             [
-                np.stack([jones_to_mueller(chip.port_block(i, j)) for j in range(6)])
+                np.stack([jones_to_mueller(port_block(chip, i, j)) for j in range(6)])
                 for i in range(6)
             ]
         )

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
-from wgwalk.geometry import elliptical_layout, fan_in_layout
+from wgwalk.geometry import elliptical_layout, fan_in_layout, permuted_layout
 from wgwalk.propagation import (
+    SEGMENTS_PER_BATCH,
     UNITARITY_TOL,
-    Propagator,
-    intensity_trace,
     propagate_z_dependent,
-    single_photon_distribution,
     unitary,
 )
 
-from helpers import expm_taylor, paper_ellipse, random_hermitian, random_symmetric
+from helpers import (
+    expm_taylor,
+    intensity_trace,
+    paper_ellipse,
+    propagate_per_step,
+    random_hermitian,
+    random_symmetric,
+    single_photon_distribution,
+)
 
 
 def unitarity_deviation(u: np.ndarray) -> float:
@@ -31,17 +37,16 @@ class TestUnitary:
     def test_zero_length_is_identity(self):
         c = random_symmetric(np.random.default_rng(0), 5)
         u = unitary(c, 0.0)
-        np.testing.assert_allclose(u.matrix, np.eye(5), atol=1e-13)
-        assert u.z == 0.0
+        np.testing.assert_allclose(u, np.eye(5), atol=1e-13)
 
     def test_diagonal_coupling_gives_diagonal_phases(self):
         beta = np.array([0.3, -1.1, 2.0])
         u = unitary(np.diag(beta), 1.7)
-        np.testing.assert_allclose(u.matrix, np.diag(np.exp(1.7j * beta)), atol=1e-13)
+        np.testing.assert_allclose(u, np.diag(np.exp(1.7j * beta)), atol=1e-13)
 
     def test_two_mode_closed_form(self):
         c_rate, beta, z = 0.9, 0.4, 1.3
-        u = unitary(np.array([[beta, c_rate], [c_rate, beta]]), z).matrix
+        u = unitary(np.array([[beta, c_rate], [c_rate, beta]]), z)
         phase = np.exp(1j * z * beta)
         expected = phase * np.array(
             [
@@ -55,7 +60,7 @@ class TestUnitary:
         )
 
     def test_5050_splitter_probabilities(self):
-        u = splitter_5050().matrix
+        u = splitter_5050()
         assert abs(u[0, 0]) ** 2 == pytest.approx(0.5, abs=1e-12)
         assert abs(u[0, 1]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
@@ -64,19 +69,19 @@ class TestUnitary:
         rng = np.random.default_rng(n)
         for _ in range(20):
             u = unitary(random_symmetric(rng, n), rng.uniform(0.0, 4.0))
-            assert unitarity_deviation(u.matrix) < UNITARITY_TOL
+            assert unitarity_deviation(u) < UNITARITY_TOL
 
     def test_unitarity_complex_hermitian(self):
         rng = np.random.default_rng(17)
         u = unitary(random_hermitian(rng, 6), 2.1)
-        assert unitarity_deviation(u.matrix) < UNITARITY_TOL
+        assert unitarity_deviation(u) < UNITARITY_TOL
 
     def test_composition_law(self):
         rng = np.random.default_rng(23)
         c = random_symmetric(rng, 6)
-        u1 = unitary(c, 0.7).matrix
-        u2 = unitary(c, 1.9).matrix
-        u12 = unitary(c, 2.6).matrix
+        u1 = unitary(c, 0.7)
+        u2 = unitary(c, 1.9)
+        u12 = unitary(c, 2.6)
         np.testing.assert_allclose(u1 @ u2, u12, atol=1e-10)
 
     def test_matches_power_series_oracle(self):
@@ -84,22 +89,33 @@ class TestUnitary:
         for _ in range(20):
             c = random_hermitian(rng, 6)
             z = 10.0 / np.linalg.norm(c, 2)  # keep ||z C|| <= 10
-            u = unitary(c, z).matrix
+            u = unitary(c, z)
             np.testing.assert_allclose(u, expm_taylor(1j * z * c), atol=1e-8)
 
     def test_mirror_symmetric_coupling_gives_mirror_symmetric_output(self):
         c = build_coupling_matrix(paper_ellipse(), CouplingModel())
         mirror = [0, 5, 4, 3, 2, 1]
         perm = np.ix_(mirror, mirror)
-        probs = np.abs(unitary(c, 1.5).matrix) ** 2
+        probs = np.abs(unitary(c, 1.5)) ** 2
         np.testing.assert_allclose(probs, probs[perm], atol=1e-10)
 
     def test_uniform_beta_is_global_phase(self):
         rng = np.random.default_rng(31)
         c = random_symmetric(rng, 5)
-        base = np.abs(unitary(c, 1.2).matrix) ** 2
-        shifted = np.abs(unitary(c + 3.7 * np.eye(5), 1.2).matrix) ** 2
+        base = np.abs(unitary(c, 1.2)) ** 2
+        shifted = np.abs(unitary(c + 3.7 * np.eye(5), 1.2)) ** 2
         np.testing.assert_allclose(base, shifted, atol=1e-12)
+
+    def test_stack_bit_equal_to_per_matrix_calls(self):
+        rng = np.random.default_rng(41)
+        stack = np.stack([random_hermitian(rng, 5) for _ in range(7)])
+        per_matrix = np.stack([unitary(c, 0.9) for c in stack])
+        assert np.array_equal(unitary(stack, 0.9), per_matrix)
+
+    def test_stack_with_one_non_hermitian_member_rejected(self):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.5, 0.0]])])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            unitary(stack, 1.0)
 
     def test_rejects_asymmetric_and_negative_z(self):
         with pytest.raises(ValueError):
@@ -112,7 +128,7 @@ class TestUnitary:
 
 class TestSinglePhotonDistribution:
     def test_identity_propagator(self):
-        u = Propagator(np.eye(5, dtype=complex), 0.0)
+        u = np.eye(5, dtype=complex)
         np.testing.assert_array_equal(
             single_photon_distribution(u, 3), [0, 0, 0, 1, 0]
         )
@@ -175,20 +191,20 @@ class TestPropagateZDependent:
         same = paper_ellipse()
         layout = fan_in_layout(same, same, same, 1.0, 1.0)
         model = CouplingModel()
-        direct = unitary(build_coupling_matrix(same, model), 2.0).matrix
+        direct = unitary(build_coupling_matrix(same, model), 2.0)
         for steps in (1, 7):
-            product = propagate_z_dependent(layout, model, 0.0, 2.0, steps).matrix
+            product = propagate_z_dependent(layout, model, 0.0, 2.0, steps)
             np.testing.assert_allclose(product, direct, atol=1e-10)
 
     def test_unitary_along_fan_in(self):
-        u = propagate_z_dependent(_fan_in(), CouplingModel(), 0.0, 9.5, 40).matrix
+        u = propagate_z_dependent(_fan_in(), CouplingModel(), 0.0, 9.5, 40)
         assert unitarity_deviation(u) < UNITARITY_TOL
 
     def test_cauchy_under_step_doubling(self):
         layout = _fan_in()
         model = CouplingModel()
         results = {
-            steps: propagate_z_dependent(layout, model, 0.0, 9.5, steps).matrix
+            steps: propagate_z_dependent(layout, model, 0.0, 9.5, steps)
             for steps in (32, 64, 128, 1024)
         }
         err_coarse = np.max(np.abs(results[32] - results[1024]))
@@ -204,9 +220,28 @@ class TestPropagateZDependent:
 
     def test_decoupled_guides_give_identity_up_to_phases(self):
         model = CouplingModel(c0_per_mm=0.0, beta_per_mm=0.8)
-        u = propagate_z_dependent(_fan_in(), model, 0.0, 9.5, 16).matrix
+        u = propagate_z_dependent(_fan_in(), model, 0.0, 9.5, 16)
         np.testing.assert_allclose(np.abs(u), np.eye(6), atol=1e-12)
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             propagate_z_dependent(_fan_in(), CouplingModel(), 0.0, 9.5, 0)
+
+
+_B = SEGMENTS_PER_BATCH
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("steps", [1, _B - 1, _B, _B + 1, 3 * _B + 5])
+    def test_bit_equal_to_per_step_loop(self, steps):
+        # relabelled cores and a cutoff that removes every coupling near the
+        # wide input end and the long-range ones at the intermediate ellipse
+        layout = permuted_layout(_fan_in(), [0, 1, 2, 5, 4, 3])
+        model = CouplingModel(beta_per_mm=0.3)
+        expected = propagate_per_step(layout, model, 0.75, 9.5, steps, neighbor_cutoff=25.0)
+        actual = propagate_z_dependent(layout, model, 0.75, 9.5, steps, 25.0)
+        assert np.array_equal(actual, expected)
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError, match="z_end"):
+            propagate_z_dependent(_fan_in(), CouplingModel(), 9.5, 0.0, 8)

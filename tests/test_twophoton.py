@@ -6,11 +6,10 @@ import pytest
 from scipy.optimize import curve_fit
 
 from wgwalk import twophoton
-from wgwalk.propagation import Propagator, unitary
+from wgwalk.propagation import unitary
 from wgwalk.twophoton import (
     CorrelationMatrix,
     HomScan,
-    fock_oracle,
     gamma_distinguishable,
     gamma_indistinguishable,
     hom_scan,
@@ -19,16 +18,16 @@ from wgwalk.twophoton import (
     visibility,
 )
 
-from helpers import random_unitary
+from helpers import fock_oracle, random_unitary
 
 
-def splitter_5050() -> Propagator:
+def splitter_5050() -> np.ndarray:
     c = np.array([[0.0, 1.0], [1.0, 0.0]])
     return unitary(c, math.pi / 4)
 
 
-def identity_propagator(n: int) -> Propagator:
-    return Propagator(np.eye(n, dtype=complex), 0.0)
+def identity_propagator(n: int) -> np.ndarray:
+    return np.eye(n, dtype=complex)
 
 
 def all_input_pairs(n):
