@@ -1,8 +1,10 @@
 """Command-line surface: layout, propagate, correlations, hom, tomography, fidelity.
 
 Every subcommand reads one JSON run configuration and writes plot-ready
-artifacts into the output directory. Exit codes are stable: 0 success, 2
-configuration error, 3 numerical failure.
+artifacts into the output directory. Each stage computes its artifacts in
+full before ``main`` writes any of them, so a failing command writes
+nothing. Exit codes are stable: 0 success, 2 configuration or path error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import List
+from typing import Dict
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .coupling import build_coupling_matrix
 from .geometry import pairwise_distances
 from .polarization import (
     ReconstructionError,
+    TomographyRecord,
     build_polarized_chip,
     pdl_report,
     poincare_ellipsoid,
@@ -41,10 +44,9 @@ _NORMALIZATION_GUARD = 1e-9
 
 RECORD_FILENAME = "tomography_record.csv"
 
-
-def _out_dir(cfg: RunConfig) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.out_dir
+# File name -> content, in write order. Content is a JSON payload dict, a
+# matrix array, a (columns, rows) table or a TomographyRecord.
+Artifacts = Dict[str, object]
 
 
 def _chip_propagators(cfg: RunConfig):
@@ -73,8 +75,7 @@ def _input_pair(cfg: RunConfig) -> tuple:
     return i, j
 
 
-def cmd_layout(cfg: RunConfig) -> List[Path]:
-    out = _out_dir(cfg)
+def cmd_layout(cfg: RunConfig) -> Artifacts:
     layout = cfg.layout
     payload = {
         "count": layout.n,
@@ -88,115 +89,81 @@ def cmd_layout(cfg: RunConfig) -> List[Path]:
             "z_mm": samples,
             "positions_um": layout.positions_at(samples),
         }
-    layout_path = out / "layout.json"
-    io.write_json(layout_path, payload, cfg.digest)
-    distances_path = out / "distances.csv"
-    io.write_matrix_csv(distances_path, pairwise_distances(layout), cfg.digest)
-    return [layout_path, distances_path]
+    return {"layout.json": payload, "distances.csv": pairwise_distances(layout)}
 
 
-def _check_rows_normalized(rows: np.ndarray, what: str) -> None:
-    deviation = np.max(np.abs(rows.sum(axis=-1) - 1.0))
-    if deviation > _NORMALIZATION_GUARD:
+def _check_normalized(deviation, what: str) -> None:
+    # written so that a NaN deviation fails too
+    if not deviation <= _NORMALIZATION_GUARD:
         raise ValueError(f"{what} not normalized (deviation {deviation:.3e})")
 
 
-def cmd_propagate(cfg: RunConfig) -> List[Path]:
-    out = _out_dir(cfg)
+def cmd_propagate(cfg: RunConfig) -> Artifacts:
     c, fan, total = _chip_propagators(cfg)
     port = cfg.input_ports[0]
     grid = np.linspace(0.0, cfg.z_mm, cfg.trace_points)
     probabilities = np.abs(evolve_amplitudes(c, fan[:, port], grid)) ** 2
-    _check_rows_normalized(probabilities, "intensity trace")
-
-    trace_path = out / "trace.csv"
+    _check_normalized(np.max(np.abs(probabilities.sum(axis=-1) - 1.0)), "intensity trace")
     columns = ["z"] + [f"p_{k + 1}" for k in range(cfg.layout.n)]
-    io.write_table_csv(trace_path, columns, np.column_stack([grid, probabilities]), cfg.digest)
-
-    unitary_path = out / "unitary.json"
-    io.write_json(
-        unitary_path,
-        {
+    return {
+        "trace.csv": (columns, np.column_stack([grid, probabilities])),
+        "unitary.json": {
             "n_ports": cfg.layout.n,
             "input_port": port + 1,
             "z_mm": cfg.z_mm,
             "fan_in_span_mm": list(cfg.layout.z_span) if cfg.layout.z_span else None,
             "matrix_re_im": io.complex_matrix_payload(total),
         },
-        cfg.digest,
-    )
-    return [trace_path, unitary_path]
+    }
 
 
-def cmd_correlations(cfg: RunConfig) -> List[Path]:
-    out = _out_dir(cfg)
+def cmd_correlations(cfg: RunConfig) -> Artifacts:
     _, _, total = _chip_propagators(cfg)
     i, j = _input_pair(cfg)
     gi = gamma_indistinguishable(total, i, j)
     gd = gamma_distinguishable(total, i, j)
     diff = quantum_difference(total, i, j)
     for matrix in (gi, gd):
-        deviation = abs(matrix.upper_triangle_sum() - 1.0)
-        if deviation > _NORMALIZATION_GUARD:
-            raise ValueError(
-                f"{matrix.kind} correlations not normalized (deviation {deviation:.3e})"
-            )
-    paths = []
-    for name, matrix in (
-        ("gamma_indistinguishable", gi),
-        ("gamma_distinguishable", gd),
-        ("gamma_difference", diff),
-    ):
-        path = out / f"{name}.csv"
-        io.write_matrix_csv(path, matrix.values, cfg.digest)
-        paths.append(path)
-    bundle_path = out / "correlations.json"
-    io.write_json(
-        bundle_path,
-        {
+        _check_normalized(abs(matrix.upper_triangle_sum() - 1.0), f"{matrix.kind} correlations")
+    return {
+        "gamma_indistinguishable.csv": gi.values,
+        "gamma_distinguishable.csv": gd.values,
+        "gamma_difference.csv": diff.values,
+        "correlations.json": {
             "input_ports": [i + 1, j + 1],
             "indistinguishable": gi.values,
             "distinguishable": gd.values,
             "difference": diff.values,
         },
-        cfg.digest,
-    )
-    paths.append(bundle_path)
-    return paths
+    }
 
 
-def cmd_hom(cfg: RunConfig) -> List[Path]:
+def cmd_hom(cfg: RunConfig) -> Artifacts:
     if cfg.hom is None:
         raise ConfigError("missing config section 'hom'")
-    out = _out_dir(cfg)
     _, _, total = _chip_propagators(cfg)
     i, j = _input_pair(cfg)
     scan = hom_scan(total, i, j, cfg.hom.delays, cfg.hom.coherence_sigma)
 
     ks, ls = np.triu_indices(cfg.layout.n)
     pairs = list(zip(ks.tolist(), ls.tolist()))
-    scan_path = out / "hom_scan.csv"
     columns = ["delay"] + [f"C_{k + 1}_{l + 1}" for k, l in pairs]
     rows = np.column_stack([scan.delays, scan.coincidences[:, ks, ls]])
-    io.write_table_csv(scan_path, columns, rows, cfg.digest)
 
     values = visibility(scan, (ks, ls), mode=cfg.hom.visibility_mode)
     summary = [
         {"output_pair": [k + 1, l + 1], "visibility": None if math.isnan(v) else v}
         for (k, l), v in zip(pairs, values.tolist())
     ]
-    visibility_path = out / "visibility.json"
-    io.write_json(
-        visibility_path,
-        {
+    return {
+        "hom_scan.csv": (columns, rows),
+        "visibility.json": {
             "input_ports": [i + 1, j + 1],
             "coherence_sigma": scan.coherence_sigma,
             "mode": cfg.hom.visibility_mode,
             "pairs": summary,
         },
-        cfg.digest,
-    )
-    return [scan_path, visibility_path]
+    }
 
 
 def _build_chip(cfg: RunConfig):
@@ -224,65 +191,51 @@ def _load_record(cfg: RunConfig):
     return io.read_record_csv(path)
 
 
-def cmd_tomography(cfg: RunConfig, mode: str) -> List[Path]:
-    out = _out_dir(cfg)
-    if mode == "simulate":
-        chip = _build_chip(cfg)
-        rng = np.random.default_rng(cfg.seed)
-        record = simulate_tomography(chip, cfg.polarization.photometric_noise, rng)
-        record_path = out / RECORD_FILENAME
-        io.write_record_csv(record_path, record, cfg.digest)
-        return [record_path]
+def cmd_tomography_simulate(cfg: RunConfig) -> Artifacts:
+    chip = _build_chip(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    return {RECORD_FILENAME: simulate_tomography(chip, cfg.polarization.photometric_noise, rng)}
 
-    if mode == "reconstruct":
-        array = reconstruct_mueller(_load_record(cfg))
-        mueller_path = out / "mueller.json"
-        io.write_json(
-            mueller_path,
+
+def cmd_tomography_reconstruct(cfg: RunConfig) -> Artifacts:
+    array = reconstruct_mueller(_load_record(cfg))
+    return {
+        "mueller.json": {
+            "n_ports": array.n_ports,
+            "matrices": array.matrices,
+            "residuals": array.residuals,
+        }
+    }
+
+
+def cmd_tomography_report(cfg: RunConfig) -> Artifacts:
+    record = _load_record(cfg)
+    array = reconstruct_mueller(record)
+    e = poincare_ellipsoid(array.matrices)
+    powers, degenerate = e.average_power.tolist(), e.degenerate.tolist()
+    ellipsoids = [
+        [
             {
-                "n_ports": array.n_ports,
-                "matrices": array.matrices,
-                "residuals": array.residuals,
-            },
-            cfg.digest,
-        )
-        return [mueller_path]
-
-    if mode == "report":
-        record = _load_record(cfg)
-        array = reconstruct_mueller(record)
-        e = poincare_ellipsoid(array.matrices)
-        powers, degenerate = e.average_power.tolist(), e.degenerate.tolist()
-        ellipsoids = [
-            [
-                {
-                    "output_port": out_port + 1,
-                    "input_port": in_port + 1,
-                    "center": e.center[out_port, in_port],
-                    "semi_axes": e.semi_axes[out_port, in_port],
-                    "orientation": e.orientation[out_port, in_port],
-                    "markers": {s: v[out_port, in_port] for s, v in e.markers.items()},
-                    "average_power": powers[out_port][in_port],
-                    "degenerate": degenerate[out_port][in_port],
-                }
-                for in_port in range(array.n_ports)
-            ]
-            for out_port in range(array.n_ports)
+                "output_port": out_port + 1,
+                "input_port": in_port + 1,
+                "center": e.center[out_port, in_port],
+                "semi_axes": e.semi_axes[out_port, in_port],
+                "orientation": e.orientation[out_port, in_port],
+                "markers": {s: v[out_port, in_port] for s, v in e.markers.items()},
+                "average_power": powers[out_port][in_port],
+                "degenerate": degenerate[out_port][in_port],
+            }
+            for in_port in range(array.n_ports)
         ]
-        ellipsoid_path = out / "ellipsoids.json"
-        io.write_json(ellipsoid_path, {"ellipsoids": ellipsoids}, cfg.digest)
-        pdl_path = out / "pdl.json"
-        io.write_json(
-            pdl_path,
-            {"excess_v_loss_by_input_port": pdl_report(record)},
-            cfg.digest,
-        )
-        return [ellipsoid_path, pdl_path]
-
-    raise ConfigError(f"unknown tomography mode {mode!r}")
+        for out_port in range(array.n_ports)
+    ]
+    return {
+        "ellipsoids.json": {"ellipsoids": ellipsoids},
+        "pdl.json": {"excess_v_loss_by_input_port": pdl_report(record)},
+    }
 
 
-def cmd_fidelity(file_a, file_b, out_dir: str = ".") -> List[Path]:
+def cmd_fidelity(file_a, file_b) -> Artifacts:
     for path in (file_a, file_b):
         if not Path(path).exists():
             raise ConfigError(f"input file not found: {path}")
@@ -293,14 +246,7 @@ def cmd_fidelity(file_a, file_b, out_dir: str = ".") -> List[Path]:
         raise ConfigError(str(exc)) from exc
     value = similarity(a, b)
     print(f"S = {value!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "fidelity.json"
-    io.write_json(
-        path,
-        {"similarity": value, "files": [Path(file_a).name, Path(file_b).name]},
-    )
-    return [path]
+    return {"fidelity.json": {"similarity": value, "files": [Path(file_a).name, Path(file_b).name]}}
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -341,11 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "layout": cmd_layout,
-    "propagate": cmd_propagate,
-    "correlations": cmd_correlations,
-    "hom": cmd_hom,
-    "tomography": cmd_tomography,
+    ("layout", None): cmd_layout,
+    ("propagate", None): cmd_propagate,
+    ("correlations", None): cmd_correlations,
+    ("hom", None): cmd_hom,
+    ("tomography", "simulate"): cmd_tomography_simulate,
+    ("tomography", "reconstruct"): cmd_tomography_reconstruct,
+    ("tomography", "report"): cmd_tomography_report,
 }
 
 
@@ -353,21 +301,32 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "fidelity":
-            paths = cmd_fidelity(args.file_a, args.file_b, args.out)
+            artifacts = cmd_fidelity(args.file_a, args.file_b)
+            out, digest = Path(args.out), None
         else:
             cfg = load_run_config(
                 args.config, seed=args.seed, steps=args.steps, noise=args.noise, out=args.out
             )
-            run = _COMMANDS[args.command]
-            paths = run(cfg, args.mode) if args.command == "tomography" else run(cfg)
-    except ConfigError as exc:
+            artifacts = _COMMANDS[args.command, getattr(args, "mode", None)](cfg)
+            out, digest = cfg.out_dir, cfg.digest
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in artifacts.items():
+            path = out / name
+            if isinstance(content, dict):
+                io.write_json(path, content, digest)
+            elif isinstance(content, tuple):
+                io.write_table_csv(path, *content, digest)
+            elif isinstance(content, TomographyRecord):
+                io.write_record_csv(path, content, digest)
+            else:
+                io.write_matrix_csv(path, content, digest)
+            print(f"wrote {path}")
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, IndexError, ArithmeticError, ReconstructionError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    for path in paths:
-        print(f"wrote {path}")
     return 0
 
 

@@ -9,6 +9,7 @@ and converted to the library's 0-based indices here. Invalid content raises
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -60,10 +61,10 @@ def _number(
     value = cfg.get(key, default)
     if value is _MISSING:
         raise ConfigError(f"missing config key '{_join(ctx, key)}'")
-    if value is None:
+    if value is None and default is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{_join(ctx, key)}' must be a number")
+    if not _finite_number(value):
+        raise ConfigError(f"'{_join(ctx, key)}' must be a finite number")
     if integer and int(value) != value:
         raise ConfigError(f"'{_join(ctx, key)}' must be an integer")
     if positive and value <= 0:
@@ -73,14 +74,19 @@ def _number(
     return int(value) if integer else float(value)
 
 
+def _finite_number(value) -> bool:
+    # JSON integers are exact, so only floats can be NaN or infinite
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
 def _vector(cfg: dict, key: str, ctx: str, length: int) -> Optional[np.ndarray]:
     value = cfg.get(key)
     if value is None:
         return None
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"'{_join(ctx, key)}' must be a list of numbers")
+    if not isinstance(value, list) or not all(map(_finite_number, value)):
+        raise ConfigError(f"'{_join(ctx, key)}' must be a list of finite numbers")
     if len(value) != length:
         raise ConfigError(f"'{_join(ctx, key)}' must have length {length}")
     return np.asarray(value, dtype=float)
@@ -295,6 +301,8 @@ def load_run_config(
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -74,13 +74,12 @@ class ReconstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class JonesTransfer:
-    """2N x 2N complex port-and-polarization transfer matrix over length z (mm).
+    """2N x 2N complex port-and-polarization transfer matrix of a chip.
 
     May be non-unitary (loss) but must be passive: no singular value above 1.
     """
 
     matrix: np.ndarray
-    z: float
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -236,7 +235,7 @@ def build_polarized_chip(
     attenuation = np.empty(2 * n)
     attenuation[0::2] = att_h
     attenuation[1::2] = att_v
-    return JonesTransfer(attenuation[:, None] * propagated, float(z))
+    return JonesTransfer(attenuation[:, None] * propagated)
 
 
 def simulate_tomography(

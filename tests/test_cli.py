@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgwalk import io
 from wgwalk.cli import main
@@ -121,6 +125,63 @@ class TestLayoutCommand:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["layout", "--config", cfg_path]) == 2
         assert "input_ports" in capsys.readouterr().err
+
+    # config numbers, one of them an entry of a per-guide list
+    NUMBER_KEYS = [
+        "z_mm",
+        "layout.count",
+        "hom.delay_min",
+        "hom.delay_max",
+        "hom.coherence_sigma",
+        "coupling.c0_per_mm",
+        "trace_points",
+        "seed",
+        "polarization.photometric_noise",
+        "polarization.birefringence_per_mm",
+    ]
+
+    NON_FINITE = [math.nan, math.inf, -math.inf]
+    # null is the default of neighbor_cutoff_um, so only non-finite values are wrong there
+    BAD_NUMBERS = list(itertools.product(NUMBER_KEYS, [None] + NON_FINITE)) + list(
+        itertools.product(["neighbor_cutoff_um"], NON_FINITE)
+    )
+
+    @pytest.mark.parametrize("key, value", BAD_NUMBERS)
+    def test_null_or_non_finite_number_names_key(self, tmp_path, capsys, key, value):
+        cfg = base_config(
+            tmp_path / "run",
+            hom={"delay_min": -4.0, "delay_max": 4.0, "points": 5, "coherence_sigma": 1.0},
+            polarization={"birefringence_per_mm": [0.1] * 6, "photometric_noise": 0.01},
+        )
+        *sections, leaf = key.split(".")
+        owner = cfg
+        for section in sections:
+            owner = owner[section]
+        owner[leaf] = [value] + owner[leaf][1:] if isinstance(owner.get(leaf), list) else value
+        assert main(["layout", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_null_neighbor_cutoff_means_no_cutoff(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config(tmp_path / "run", neighbor_cutoff_um=None))
+        assert main(["layout", "--config", cfg_path]) == 0
+
+    def test_out_naming_a_file_is_path_error(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        cfg_path = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main(["layout", "--config", cfg_path, "--out", str(blocker)]) == 2
+        assert str(blocker) in capsys.readouterr().err
+
+    def test_config_naming_a_directory_is_path_error(self, tmp_path, capsys):
+        assert main(["layout", "--config", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"z_mm": 1.0, "note": "\u00e9"}'.encode("latin-1"))
+        assert main(["layout", "--config", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestPropagateCommand:
@@ -341,6 +402,27 @@ class TestTomographyCommand:
         assert "tomography_record.csv:11:" in err and "intensity" in err
         assert not (tmp_path / "run" / "mueller.json").exists()
 
+    def test_failed_report_writes_no_artifacts(self, tmp_path, capsys):
+        # zero H power at input port 1 leaves its excess-loss ratio undefined,
+        # which is found after the ellipsoids have been computed
+        cfg_path, record_path, lines = self.simulated_record(tmp_path)
+        rows = [line.split(",") for line in lines]
+        for fields in rows:
+            if fields[:2] == ["1", "H"]:
+                fields[4] = "0.0"
+        record_path.write_text("\n".join(",".join(fields) for fields in rows) + "\n")
+        assert main(["tomography", "--config", cfg_path, "--mode", "report"]) == 3
+        assert "zero transmitted power" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "ellipsoids.json").exists()
+        assert not (tmp_path / "run" / "pdl.json").exists()
+
+    def test_record_naming_a_directory_is_path_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, self.pol_config(tmp_path / "run"))
+        record_path = tmp_path / "run" / "tomography_record.csv"
+        record_path.mkdir(parents=True)
+        assert main(["tomography", "--config", cfg_path, "--mode", "reconstruct"]) == 2
+        assert str(record_path) in capsys.readouterr().err
+
     def test_noisy_simulation_deterministic_for_fixed_seed(self, tmp_path):
         cfg_path = write_config(tmp_path, self.pol_config(tmp_path / "a", noise=0.01))
         assert main(["tomography", "--config", cfg_path, "--mode", "simulate"]) == 0
@@ -450,6 +532,14 @@ class TestFidelityCommand:
         assert f"{bad}:3" in capsys.readouterr().err
         assert not (out / "fidelity.json").exists()
 
+    def test_input_naming_a_directory_is_path_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        io.write_matrix_csv(a, np.eye(2))
+        out = tmp_path / "out"
+        assert main(["fidelity", str(a), str(tmp_path), "--out", str(out)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_entries_are_numerical_failure(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         a = tmp_path / "a.csv"
@@ -499,3 +589,85 @@ class TestStartup:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "False"
+
+
+# Property test: mutated shipped configs end in a stable exit code, and a
+# command writes either clean artifacts or none at all.
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+DROP = object()
+MUTANT_VALUES = st.one_of(
+    st.sampled_from([DROP, None, math.nan, math.inf, -math.inf, True, "x", [1], 0, -1, -0.5]),
+    st.integers(1, 8),
+    st.floats(0.1, 8.0),
+)
+PROPERTY_COMMANDS = [
+    ["layout"],
+    ["propagate"],
+    ["correlations"],
+    ["hom"],
+    ["tomography", "--mode", "simulate"],
+]
+
+
+def _key_paths(node, prefix=()):
+    """Path of every key in a nested config, sections included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    name = draw(st.sampled_from(["ellipse_walk", "fanin_walk"]))
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg["steps"] = min(cfg.get("steps", 64), 64)  # keeps every example small
+    for *sections, key in draw(st.lists(st.sampled_from(list(_key_paths(cfg))), min_size=1, max_size=3)):
+        value = draw(MUTANT_VALUES)
+        owner = cfg
+        for section in sections:
+            owner = owner.get(section) if isinstance(owner, dict) else None
+        if not isinstance(owner, dict):
+            continue  # an earlier mutation replaced the enclosing section
+        if value is DROP:
+            owner.pop(key, None)
+        else:
+            owner[key] = value
+    return cfg
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _assert_clean_artifact(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=_reject_constant)
+        return
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        for field in line.split(","):
+            try:
+                number = float(field)
+            except ValueError:
+                continue  # column names and polarization labels
+            assert math.isfinite(number), f"{path.name}: {line!r}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cfg=mutated_configs())
+def test_mutated_configs_exit_cleanly(tmp_path_factory, cfg):
+    work = tmp_path_factory.mktemp("mutant")
+    cfg_path = write_config(work, cfg)
+    for command in PROPERTY_COMMANDS:
+        out = work / command[-1]
+        code = main(command[:1] + ["--config", cfg_path, "--out", str(out)] + command[1:])
+        assert code in (0, 2, 3)
+        if code == 0:
+            for path in out.iterdir():
+                _assert_clean_artifact(path)
+        else:
+            assert not out.exists()

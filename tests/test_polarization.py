@@ -32,7 +32,7 @@ from helpers import (
 
 
 def identity_chip(n=6):
-    return JonesTransfer(np.eye(2 * n, dtype=complex), 0.0)
+    return JonesTransfer(np.eye(2 * n, dtype=complex))
 
 
 def scalar_chip(z=1.3):
@@ -117,15 +117,15 @@ class TestJonesToMueller:
 class TestJonesTransfer:
     def test_passivity_enforced(self):
         with pytest.raises(ValueError):
-            JonesTransfer(1.5 * np.eye(4), 1.0)
+            JonesTransfer(1.5 * np.eye(4))
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
-            JonesTransfer(np.eye(3, dtype=complex), 1.0)
+            JonesTransfer(np.eye(3, dtype=complex))
 
     def test_port_block_indexing(self):
         m = np.arange(16, dtype=complex).reshape(4, 4) / 100.0
-        chip = JonesTransfer(m, 1.0)
+        chip = JonesTransfer(m)
         np.testing.assert_array_equal(port_block(chip, 1, 0), m[2:4, 0:2])
         assert chip.n_ports == 2
 
