@@ -43,7 +43,15 @@ def coupling_constant(r, model: CouplingModel):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("core separation must be positive")
-    return model.c0_per_mm * np.exp(-model.kappa_per_um * (r - model.r0_um))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = model.c0_per_mm * np.exp(-model.kappa_per_um * (r - model.r0_um))
+    if not np.all(np.isfinite(c)):
+        raise ValueError(
+            f"coupling law c0 exp(-kappa (r - r0)) overflows at r = "
+            f"{np.min(r[~np.isfinite(c)])} um (c0 = {model.c0_per_mm} /mm, "
+            f"kappa = {model.kappa_per_um} /um, r0 = {model.r0_um} um)"
+        )
+    return c
 
 
 def build_coupling_matrix(
@@ -60,11 +68,8 @@ def build_coupling_matrix(
     z.shape + (N, N).
     """
     r = pairwise_distances(layout, z)
-    n = r.shape[-1]
-    c = np.zeros(r.shape)
-    off = ~np.eye(n, dtype=bool)
-    c[..., off] = coupling_constant(r[..., off], model)
+    diagonal = np.eye(r.shape[-1], dtype=bool)
+    c = coupling_constant(np.where(diagonal, model.r0_um, r), model)
     if neighbor_cutoff is not None:
-        c[off & (r > neighbor_cutoff)] = 0.0
-    c[..., ~off] = model.beta_per_mm
-    return c
+        c = np.where(r > neighbor_cutoff, 0.0, c)
+    return np.where(diagonal, model.beta_per_mm, c)

@@ -153,5 +153,7 @@ def pairwise_distances(layout: WaveguideLayout, z=None) -> np.ndarray:
     An array of z gives the stack of matrices, shape z.shape + (N, N).
     """
     pos = layout.positions_at(z)
-    diff = pos[..., :, None, :] - pos[..., None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    x, y = pos[..., 0], pos[..., 1]
+    dx = x[..., :, None] - x[..., None, :]
+    dy = y[..., :, None] - y[..., None, :]
+    return np.sqrt(dx * dx + dy * dy)

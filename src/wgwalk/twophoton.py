@@ -126,7 +126,10 @@ def hom_scan(
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     gi = gamma_indistinguishable(propagator, i, j).values
     gd = gamma_distinguishable(propagator, i, j).values
-    overlap = np.exp(-(delays**2) / (2.0 * coherence_sigma**2))
+    # delay / sigma first, so that a tiny sigma overflows to a zero overlap
+    # instead of squaring to zero and making the zero-delay row 0/0
+    with np.errstate(over="ignore"):
+        overlap = np.exp(-0.5 * (delays / coherence_sigma) ** 2)
     coincidences = gd[None, :, :] + overlap[:, None, None] * (gi - gd)[None, :, :]
     return HomScan(delays, coincidences, float(coherence_sigma), (i, j))
 

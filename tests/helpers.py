@@ -186,15 +186,17 @@ def propagate_per_step(
     z_end: float,
     steps: int,
     neighbor_cutoff: Optional[float] = None,
+    exponential: Callable[[np.ndarray, float], np.ndarray] = unitary,
 ) -> np.ndarray:
-    """Midpoint-rule z-ordered product built one segment at a time: the
-    bit-level reference for the batched ``propagate_z_dependent``."""
+    """Midpoint-rule z-ordered product built one segment at a time, each
+    segment exp(i dz C) taken by ``exponential(C, dz)`` (``eigh`` by default):
+    the reference for the batched ``propagate_z_dependent``."""
     dz = (z_end - z_start) / steps
     u = np.eye(layout.n, dtype=complex)
     for k in range(steps):
         z_mid = z_start + (k + 0.5) * dz
         c = build_coupling_matrix(layout, model, z=z_mid, neighbor_cutoff=neighbor_cutoff)
-        u = unitary(c, dz) @ u
+        u = exponential(c, dz) @ u
     return u
 
 

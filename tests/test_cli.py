@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -671,3 +672,43 @@ def test_mutated_configs_exit_cleanly(tmp_path_factory, cfg):
                 _assert_clean_artifact(path)
         else:
             assert not out.exists()
+
+
+def _shipped_config(tmp_path, name, **edits):
+    """A shipped config with its top-level sections updated by ``edits``."""
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    for section, values in edits.items():
+        cfg[section].update(values)
+    return write_config(tmp_path, cfg, f"{name}.json")
+
+
+def test_tiny_coherence_sigma_gives_finite_scan(tmp_path):
+    cfg_path = _shipped_config(tmp_path, "ellipse_walk", hom={"coherence_sigma": 1e-300})
+    assert main(["hom", "--config", cfg_path, "--out", str(tmp_path / "hom")]) == 0
+    assert main(["correlations", "--config", cfg_path, "--out", str(tmp_path / "gamma")]) == 0
+    columns, table = read_table_csv(tmp_path / "hom" / "hom_scan.csv")
+    assert np.all(np.isfinite(table))
+    ks, ls = np.triu_indices(6)
+    assert columns[1:] == [f"C_{k + 1}_{l + 1}" for k, l in zip(ks, ls)]
+    gi = io.read_matrix_csv(tmp_path / "gamma" / "gamma_indistinguishable.csv")[ks, ls]
+    gd = io.read_matrix_csv(tmp_path / "gamma" / "gamma_distinguishable.csv")[ks, ls]
+    delays, counts = table[:, 0], table[:, 1:]
+    zero = delays == 0.0
+    assert zero.sum() == 1
+    np.testing.assert_allclose(counts[zero][0], gi, rtol=0, atol=1e-15)
+    assert np.array_equal(counts[~zero], np.broadcast_to(gd, counts[~zero].shape))
+
+
+@pytest.mark.parametrize("name", ["ellipse_walk", "fanin_walk"])
+@pytest.mark.parametrize("command", ["propagate", "correlations", "hom"])
+def test_overflowing_coupling_law_is_numerical_failure(tmp_path, capsys, name, command):
+    # exp(-2 (r - 400)) overflows at every core separation of these chips
+    cfg_path = _shipped_config(tmp_path, name, coupling={"kappa_per_um": 2, "r0_um": 400})
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "coupling law" in err and "overflows" in err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ class TestCouplingConstant:
             coupling_constant(0.0, MODEL)
         with pytest.raises(ValueError):
             coupling_constant(-3.0, MODEL)
+
+    def test_overflowing_law_rejected_without_warning(self):
+        model = CouplingModel(kappa_per_um=2.0, r0_um=400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"coupling law .* overflows at r = 5\.0 um"):
+                coupling_constant([5.0, 390.0], model)
+            assert coupling_constant(390.0, model) == pytest.approx(math.exp(20.0), rel=1e-14)
 
 
 class TestCouplingModelValidation:

@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wgwalk.config import load_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import elliptical_layout, fan_in_layout, permuted_layout
 from wgwalk.propagation import (
     SEGMENTS_PER_BATCH,
     UNITARITY_TOL,
+    _exp_i_taylor,
     propagate_z_dependent,
     unitary,
 )
@@ -117,6 +120,10 @@ class TestUnitary:
         with pytest.raises(ValueError, match="not Hermitian"):
             unitary(stack, 1.0)
 
+    def test_nan_coupling_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            unitary(np.array([[math.nan, 1.0], [1.0, 0.0]]), 1.0)
+
     def test_rejects_asymmetric_and_negative_z(self):
         with pytest.raises(ValueError):
             unitary(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
@@ -124,6 +131,46 @@ class TestUnitary:
             unitary(np.eye(2), -1.0)
         with pytest.raises(ValueError):
             unitary(np.zeros((2, 3)), 1.0)
+
+
+def _random_stack(rng, count, n, hermitian):
+    """Real-symmetric or complex-Hermitian matrices scaled to ||H||_1 in [0, 50]."""
+    draw = random_hermitian if hermitian else random_symmetric
+    stack = np.stack([draw(rng, n) for _ in range(count)])
+    norms = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
+    targets = np.concatenate([[0.0, 0.25], rng.uniform(0.0, 50.0, count - 2)])
+    return stack * (targets / norms)[:, None, None]
+
+
+class TestTaylorKernel:
+    @pytest.mark.parametrize("hermitian", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_matches_eigh_and_power_series(self, n, hermitian):
+        # ||dz H||_1 spans 0 to 50, so up to eight squarings run
+        rng = np.random.default_rng(100 * n + hermitian)
+        dz = 0.37
+        stack = _random_stack(rng, 10, n, hermitian) / dz
+        actual = _exp_i_taylor(stack, dz)
+        for h, u in zip(stack, actual):
+            np.testing.assert_allclose(u, unitary(h, dz), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(u, expm_taylor(1j * dz * h), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_stack_bit_equal_to_per_matrix_calls(self, hermitian):
+        # batch-mates needing 0 to 8 squarings do not change each other's bits
+        stack = _random_stack(np.random.default_rng(7), 9, 6, hermitian)
+        per_matrix = np.stack([_exp_i_taylor(h[None], 1.0)[0] for h in stack])
+        assert np.array_equal(_exp_i_taylor(stack, 1.0), per_matrix)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_generator_rejected(self, bad):
+        stack = np.stack([np.eye(3), np.full((3, 3), bad)])
+        with pytest.raises(ValueError, match="not finite"):
+            _exp_i_taylor(stack, 0.1)
+
+    def test_non_hermitian_generator_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _exp_i_taylor(np.array([[[0.0, 1.0], [0.5, 0.0]]]), 0.1)
 
 
 class TestSinglePhotonDistribution:
@@ -238,9 +285,26 @@ class TestBatchedEngine:
         # wide input end and the long-range ones at the intermediate ellipse
         layout = permuted_layout(_fan_in(), [0, 1, 2, 5, 4, 3])
         model = CouplingModel(beta_per_mm=0.3)
-        expected = propagate_per_step(layout, model, 0.75, 9.5, steps, neighbor_cutoff=25.0)
+        expected = propagate_per_step(
+            layout, model, 0.75, 9.5, steps, neighbor_cutoff=25.0,
+            exponential=lambda c, dz: _exp_i_taylor(c[None], dz)[0],
+        )
         actual = propagate_z_dependent(layout, model, 0.75, 9.5, steps, 25.0)
         assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("chip", ["_fan_in", "fanin_frontend"])
+    def test_matches_eigh_per_step_loop(self, chip):
+        # fanin_frontend's crossing cores reach ||dz C||_1 = 7.9, so its
+        # segments are squared up to five times
+        if chip == "_fan_in":
+            layout, model, steps, cutoff = _fan_in(), CouplingModel(), 256, None
+        else:
+            cfg = load_run_config(Path(__file__).resolve().parent.parent / "configs" / f"{chip}.json")
+            layout, model, steps, cutoff = cfg.layout, cfg.coupling, cfg.steps, cfg.neighbor_cutoff_um
+        z0, z1 = layout.z_span
+        expected = propagate_per_step(layout, model, z0, z1, steps, neighbor_cutoff=cutoff)
+        actual = propagate_z_dependent(layout, model, z0, z1, steps, cutoff)
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError, match="z_end"):
