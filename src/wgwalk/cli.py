@@ -55,7 +55,7 @@ def _chip_propagators(cfg: RunConfig):
         cfg.layout, cfg.coupling, neighbor_cutoff=cfg.neighbor_cutoff_um
     )
     n = cfg.layout.n
-    if cfg.layout.z_profile is not None:
+    if cfg.layout.fan_in is not None:
         z0, z1 = cfg.layout.z_span
         fan = propagate_z_dependent(
             cfg.layout, cfg.coupling, z0, z1, cfg.steps, cfg.neighbor_cutoff_um
@@ -82,7 +82,7 @@ def cmd_layout(cfg: RunConfig) -> Artifacts:
         "positions_um": layout.positions,
         "z_span_mm": list(layout.z_span) if layout.z_span else None,
     }
-    if layout.z_profile is not None:
+    if layout.fan_in is not None:
         z0, z1 = layout.z_span
         samples = np.linspace(z0, z1, cfg.steps + 1)
         payload["profile"] = {
@@ -188,7 +188,13 @@ def _load_record(cfg: RunConfig):
     path = cfg.out_dir / RECORD_FILENAME
     if not path.exists():
         raise ConfigError(f"tomography record not found: {path} (run mode 'simulate' first)")
-    return io.read_record_csv(path)
+    record = io.read_record_csv(path)
+    if record.n_ports != cfg.layout.n:
+        raise ReconstructionError(
+            f"tomography record {path} covers {record.n_ports} ports, "
+            f"but the layout has {cfg.layout.n}"
+        )
+    return record
 
 
 def cmd_tomography_simulate(cfg: RunConfig) -> Artifacts:

@@ -219,15 +219,11 @@ def _parse_polarization(spec: Optional[dict], n: int, fallback: CouplingModel):
     if spec is None:
         return None
     ctx = "polarization"
-    model_h = (
-        coupling_from_dict(_section(spec, "coupling_h", ctx, required=False), "polarization.coupling_h")
-        if spec.get("coupling_h") is not None
+    model_h, model_v = (
+        coupling_from_dict(_section(spec, key, ctx), _join(ctx, key))
+        if spec.get(key) is not None
         else fallback
-    )
-    model_v = (
-        coupling_from_dict(_section(spec, "coupling_v", ctx, required=False), "polarization.coupling_v")
-        if spec.get("coupling_v") is not None
-        else fallback
+        for key in ("coupling_h", "coupling_v")
     )
     loss_h = _vector(spec, "loss_h", ctx, n)
     loss_v = _vector(spec, "loss_v", ctx, n)

@@ -2,14 +2,15 @@
 
 Units are fixed package-wide: transverse coordinates in micrometers (um),
 propagation distance z in millimeters (mm). Layout builders return immutable
-``WaveguideLayout`` objects; layouts produced by :func:`fan_in_layout` carry a
-``z_profile`` callable defined on a closed z span.
+``WaveguideLayout`` objects; layouts produced by :func:`fan_in_layout` also
+hold their two-stage raised-sine fan-in as plain data, so every layout can be
+pickled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,15 +21,13 @@ _TWO_PI = 2.0 * np.pi
 class WaveguideLayout:
     """Positions of N waveguide cores in the transverse plane.
 
-    ``positions`` is an (N, 2) array in um. For z-dependent layouts it holds
-    the cross-section at the end of the span, and ``z_profile`` maps a
-    propagation distance in ``z_span`` (mm) to the full (N, 2) cross-section,
-    or an array of distances to the stack of cross-sections.
+    ``positions`` is an (N, 2) array in um; for a fan-in layout it is the final
+    cross-section, and ``fan_in`` holds the (input positions, intermediate
+    positions, stage1_mm, stage2_mm) of :func:`fan_in_layout`.
     """
 
     positions: np.ndarray
-    z_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    z_span: Optional[Tuple[float, float]] = None
+    fan_in: Optional[Tuple[np.ndarray, np.ndarray, float, float]] = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -37,12 +36,15 @@ class WaveguideLayout:
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         object.__setattr__(self, "positions", pos)
-        if (self.z_profile is None) != (self.z_span is None):
-            raise ValueError("z_profile and z_span must be provided together")
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
+
+    @property
+    def z_span(self) -> Optional[Tuple[float, float]]:
+        """Closed z domain [0, stage1_mm + stage2_mm] of the fan-in; None without one."""
+        return None if self.fan_in is None else (0.0, self.fan_in[2] + self.fan_in[3])
 
     def positions_at(self, z=None) -> np.ndarray:
         """Cross-section at propagation distance z, or the static one.
@@ -51,15 +53,21 @@ class WaveguideLayout:
         """
         if z is None:
             return self.positions
-        if self.z_profile is None:
-            raise ValueError("layout has no z_profile")
+        if self.fan_in is None:
+            raise ValueError("layout has no fan-in")
         z0, z1 = self.z_span
         zs = np.asarray(z)
         outside = ~((z0 <= zs) & (zs <= z1))  # NaN counts as outside
         if np.any(outside):
             bad = zs[outside][0] if zs.ndim else z
             raise ValueError(f"z = {bad} mm outside profile domain [{z0}, {z1}] mm")
-        return self.z_profile(z)
+        p0, p1, stage1, stage2 = self.fan_in
+        first = np.asarray(z, dtype=float)[..., None, None] <= stage1
+        return np.where(
+            first,
+            _raised_sine(p0, p1, stage1, z),
+            _raised_sine(p1, self.positions, stage2, np.subtract(z, stage1)),
+        )
 
 
 def linear_layout(n: int, pitch: float) -> WaveguideLayout:
@@ -93,14 +101,10 @@ def permuted_layout(layout: WaveguideLayout, order: Sequence[int]) -> WaveguideL
     idx = np.asarray(order, dtype=int)
     if sorted(idx.tolist()) != list(range(layout.n)):
         raise ValueError(f"order must be a permutation of 0..{layout.n - 1}")
-    if layout.z_profile is None:
+    if layout.fan_in is None:
         return WaveguideLayout(layout.positions[idx])
-    profile = layout.z_profile
-    return WaveguideLayout(
-        layout.positions[idx],
-        z_profile=lambda z: profile(z)[..., idx, :],
-        z_span=layout.z_span,
-    )
+    p0, p1, stage1, stage2 = layout.fan_in
+    return WaveguideLayout(layout.positions[idx], (p0[idx], p1[idx], stage1, stage2))
 
 
 def _raised_sine(start: np.ndarray, end: np.ndarray, length: float, z):
@@ -124,26 +128,15 @@ def fan_in_layout(
     intermediate one over ``stage1_length`` mm, then another to its final
     position over ``stage2_length`` mm; the profile is continuous at the
     stage boundary. The returned layout's static positions are the final
-    cross-section and its z_profile spans [0, stage1 + stage2].
+    cross-section and its fan-in spans [0, stage1 + stage2].
     """
     if not input_layout.n == intermediate.n == final.n:
         raise ValueError("input, intermediate, and final layouts must have equal N")
     if stage1_length <= 0 or stage2_length <= 0:
         raise ValueError("stage lengths must be positive")
-    p0 = input_layout.positions
-    p1 = intermediate.positions
-    p2 = final.positions
-
-    def profile(z) -> np.ndarray:
-        first = np.asarray(z, dtype=float)[..., None, None] <= stage1_length
-        return np.where(
-            first,
-            _raised_sine(p0, p1, stage1_length, z),
-            _raised_sine(p1, p2, stage2_length, np.subtract(z, stage1_length)),
-        )
-
     return WaveguideLayout(
-        p2.copy(), z_profile=profile, z_span=(0.0, stage1_length + stage2_length)
+        final.positions.copy(),
+        (input_layout.positions, intermediate.positions, stage1_length, stage2_length),
     )
 
 

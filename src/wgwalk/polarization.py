@@ -24,6 +24,9 @@ from .propagation import unitary, z_ordered_product
 
 PASSIVITY_TOL = 1e-9
 
+# A Mueller map whose semi-axes are all at most this is a degenerate ellipsoid.
+DEGENERATE_TOL = 1e-12
+
 _SQRT2 = np.sqrt(2.0)
 
 STATE_ORDER = ("H", "V", "D", "A", "L", "R")
@@ -45,27 +48,6 @@ STOKES_STATES: Dict[str, np.ndarray] = {
     "L": np.array([1.0, 0.0, 0.0, -1.0]),
     "R": np.array([1.0, 0.0, 0.0, 1.0]),
 }
-
-# Change of basis between the coherency vector (ExEx*, ExEy*, EyEx*, EyEy*)
-# and the Stokes vector, and its exact inverse.
-_A_STOKES = np.array(
-    [
-        [1, 0, 0, 1],
-        [1, 0, 0, -1],
-        [0, 1, 1, 0],
-        [0, -1j, 1j, 0],
-    ],
-    dtype=complex,
-)
-_A_STOKES_INV = 0.5 * np.array(
-    [
-        [1, 1, 0, 0],
-        [0, 0, 1, 1j],
-        [0, 0, 1, -1j],
-        [1, -1, 0, 0],
-    ],
-    dtype=complex,
-)
 
 
 class ReconstructionError(RuntimeError):
@@ -160,15 +142,6 @@ def stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l) -> np.ndarray:
     return np.array([i_h + i_v, i_h - i_v, i_d - i_a, i_r - i_l])
 
 
-def jones_to_mueller(jones: np.ndarray) -> np.ndarray:
-    """4 x 4 Mueller matrix of a 2 x 2 Jones block."""
-    j = np.asarray(jones, dtype=complex)
-    if j.shape != (2, 2):
-        raise ValueError("expected a 2 x 2 Jones block")
-    m = _A_STOKES @ np.kron(j, j.conj()) @ _A_STOKES_INV
-    return m.real
-
-
 def _per_guide(values, n: int, default: float, name: str) -> np.ndarray:
     if values is None:
         return np.full(n, default, dtype=float)
@@ -196,7 +169,7 @@ def build_polarized_chip(
     through ``model_h`` and vertical modes through ``model_v``; per-guide
     ``birefringence`` (1/mm) splits the propagation constants by +d/2 on H
     and -d/2 on V, and ``pol_rotation`` (1/mm) mixes H and V within each
-    guide. A layout with a z profile is first propagated through its fan-in
+    guide. On a fan-in layout the chip first propagates through the fan-in,
     by the ``steps``-segment z-ordered product of that generator; the final
     cross-section then acts over z mm as the exact exponential of the
     generator. ``loss_h``/``loss_v`` amplitude attenuations in (0, 1] are
@@ -229,7 +202,7 @@ def build_polarized_chip(
         return g
 
     propagated = unitary(generator(), z)
-    if layout.z_profile is not None:
+    if layout.fan_in is not None:
         z0, z1 = layout.z_span
         propagated = propagated @ z_ordered_product(generator, z0, z1, steps)
     attenuation = np.empty(2 * n)
@@ -275,17 +248,13 @@ def reconstruct_mueller(record: TomographyRecord) -> MuellerArray:
     equations for 16 unknowns); the redundant protocol averages photometric
     noise. The rms equation residual is reported per pair.
     """
-    if np.linalg.matrix_rank(_STOKES_INPUTS) < 4:
-        raise ReconstructionError("input states do not span the Stokes space")
     n = record.n_ports
     intens = np.moveaxis(record.intensities, 2, 0)  # out port, in port, state, analyzer
     h, v, d, a, l, r = (intens[..., STATE_ORDER.index(s)] for s in "HVDALR")
     stokes_out = stokes_from_intensities(h, v, d, a, r, l)  # component, out, in, state
     # One least-squares problem with a column per (out, in, component).
     rhs = stokes_out.transpose(3, 1, 2, 0).reshape(6, 4 * n * n)
-    solution, _, rank, _ = np.linalg.lstsq(_STOKES_INPUTS, rhs, rcond=None)
-    if rank < 4:
-        raise ReconstructionError("degenerate input states")
+    solution = np.linalg.lstsq(_STOKES_INPUTS, rhs, rcond=None)[0]
     matrices = np.ascontiguousarray(solution.T).reshape(n, n, 4, 4)
     misfit = (_STOKES_INPUTS @ solution - rhs).reshape(6, n, n, 4)
     misfit = np.moveaxis(misfit, 0, 2).reshape(n, n, 24)  # rows hold (state, component)
@@ -293,7 +262,7 @@ def reconstruct_mueller(record: TomographyRecord) -> MuellerArray:
     return MuellerArray(matrices, residuals)
 
 
-def poincare_ellipsoid(mueller: np.ndarray, degenerate_tol: float = 1e-12) -> PoincareEllipsoid:
+def poincare_ellipsoid(mueller: np.ndarray) -> PoincareEllipsoid:
     """Geometry of the image of the unit Poincare sphere under a Mueller map.
 
     Fully polarized unit-power inputs (1, s) map to center + B s where the
@@ -330,7 +299,7 @@ def poincare_ellipsoid(mueller: np.ndarray, degenerate_tol: float = 1e-12) -> Po
         )
     powers = np.stack([outputs[s][..., 0] for s in STATE_ORDER], axis=-1)
     average_power = np.mean(powers, axis=-1)
-    degenerate = np.all(axes <= degenerate_tol, axis=-1)
+    degenerate = np.all(axes <= DEGENERATE_TOL, axis=-1)
     if m.ndim == 2:
         average_power, degenerate = float(average_power), bool(degenerate)
     return PoincareEllipsoid(

@@ -18,9 +18,8 @@ import numpy as np
 from .coupling import CouplingModel, build_coupling_matrix
 from .geometry import WaveguideLayout
 
-# Default numerical tolerances; overridable per call where they matter.
+# Largest |C - C^H| entry accepted as Hermitian.
 HERMITICITY_TOL = 1e-12
-UNITARITY_TOL = 1e-10
 
 # Segments whose generators are sampled and exponentiated together by
 # z_ordered_product; bounds its temporaries at this many cross-sections.
@@ -34,20 +33,18 @@ _COS = [(-1) ** k / math.factorial(2 * k) for k in range(7)]
 _SINC = [(-1) ** k / math.factorial(2 * k + 1) for k in range(7)]
 
 
-def _check_hermitian(c: np.ndarray, tol: float) -> None:
+def _check_hermitian(c: np.ndarray) -> None:
     if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise ValueError("coupling matrix must be square")
     deviation = np.max(np.abs(c - np.swapaxes(c, -1, -2).conj()))
     # written so that a NaN deviation fails too
-    if not deviation <= tol:
+    if not deviation <= HERMITICITY_TOL:
         raise ValueError(
             f"coupling matrix is not Hermitian (max deviation {deviation:.3e})"
         )
 
 
-def unitary(
-    coupling_matrix: np.ndarray, z: float, hermiticity_tol: float = HERMITICITY_TOL
-) -> np.ndarray:
+def unitary(coupling_matrix: np.ndarray, z: float) -> np.ndarray:
     """Propagator exp(i z C) of a Hermitian coupling matrix.
 
     Uses the eigendecomposition of C, so unitarity holds to machine precision
@@ -56,7 +53,7 @@ def unitary(
     that matrix alone.
     """
     c = np.asarray(coupling_matrix)
-    _check_hermitian(c, hermiticity_tol)
+    _check_hermitian(c)
     if z < 0:
         raise ValueError("propagation length must be nonnegative")
     w, v = np.linalg.eigh(c)
@@ -64,17 +61,14 @@ def unitary(
 
 
 def evolve_amplitudes(
-    coupling_matrix: np.ndarray,
-    initial: np.ndarray,
-    z_grid: Sequence[float],
-    hermiticity_tol: float = HERMITICITY_TOL,
+    coupling_matrix: np.ndarray, initial: np.ndarray, z_grid: Sequence[float]
 ) -> np.ndarray:
     """Amplitude vectors exp(i z C) @ initial for every z in the grid.
 
     Diagonalizes C once; returns an array of shape (len(z_grid), N).
     """
     c = np.asarray(coupling_matrix)
-    _check_hermitian(c, hermiticity_tol)
+    _check_hermitian(c)
     z_grid = np.asarray(z_grid, dtype=float)
     a0 = np.asarray(initial, dtype=complex)
     w, v = np.linalg.eigh(c)
@@ -96,7 +90,7 @@ def _exp_i_taylor(h: np.ndarray, dz: float) -> np.ndarray:
     norms = np.max(np.sum(np.abs(x), axis=-2), axis=-1)
     if not np.all(np.isfinite(norms)):
         raise ValueError("segment generator is not finite")
-    _check_hermitian(h, HERMITICITY_TOL)
+    _check_hermitian(h)
     mantissa, exponent = np.frexp(norms / _TAYLOR_THETA)
     s = np.maximum(exponent - (mantissa == 0.5), 0)
     x = x * np.ldexp(1.0, -s)[:, None, None]  # exact: a power of two
@@ -162,7 +156,7 @@ def propagate_z_dependent(
 ) -> np.ndarray:
     """Midpoint-rule z-ordered product of exp(i dz C(z)) along a z-dependent layout.
 
-    See :func:`z_ordered_product`; the layout profile must cover
+    See :func:`z_ordered_product`; the layout's ``z_span`` must cover
     [z_start, z_end].
     """
     return z_ordered_product(

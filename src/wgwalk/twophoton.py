@@ -147,7 +147,8 @@ def visibility(scan: HomScan, output_pair, mode: str = "extrema"):
     ``(ks, ls)``, which gives a float array of their shape with NaN where the
     visibility is undefined. It is undefined for a pair without coincidences,
     and in fit mode also where the fitted baseline is not positive or the fit
-    did not converge.
+    did not converge. Fit mode raises ValueError for any pair on a scan with
+    fewer than three distinct |delay| values.
     """
     k, l = output_pair
     counts = scan.coincidences[:, k, l]
@@ -175,12 +176,14 @@ def visibility(scan: HomScan, output_pair, mode: str = "extrema"):
 # rejected one. A pair stops at a relative step below _FIT_XTOL, at an
 # accepted step that lowers the cost by less than _FIT_FTOL of it, or at an
 # rms residual within _FIT_ROUNDOFF of the largest count; a pair still running
-# after _FIT_MAX_ITER steps is undefined.
+# after _FIT_MAX_ITER steps is undefined. Two delays whose |t| differ by at most
+# _FIT_SAME_DELAY of the largest |t| count as one |t|.
 _FIT_MAX_ITER = 200
 _FIT_XTOL = 1e-13
 _FIT_FTOL = 1e-15
 _FIT_ROUNDOFF = 4.0 * np.finfo(float).eps
 _FIT_DAMPING = 1e-3
+_FIT_SAME_DELAY = 1e-9
 
 
 def _dip_terms(params: np.ndarray, t: np.ndarray, y: np.ndarray):
@@ -201,9 +204,17 @@ def _fit_visibility(delays: np.ndarray, counts: np.ndarray, width_guess: float) 
 
     All P dips are fitted at once by Levenberg-Marquardt (Marquardt's
     diagonal scaling, analytic Jacobian, one batched 3x3 solve per step).
-    A flat column gives 0.0, or NaN without coincidences.
+    A flat column gives 0.0, or NaN without coincidences. The model depends
+    on t only through t**2, so its three parameters need at least three
+    distinct |t|; fewer raise ValueError.
     """
     t = np.asarray(delays, dtype=float)
+    magnitudes = np.sort(np.abs(t))
+    distinct = 1 + np.count_nonzero(np.diff(magnitudes) > _FIT_SAME_DELAY * magnitudes[-1])
+    if distinct < 3:
+        raise ValueError(
+            f"fit-mode visibility needs at least three distinct |delay| values, got {distinct}"
+        )
     y = np.asarray(counts, dtype=float).T
     n_pairs = y.shape[0]
     near, far = np.argmin(np.abs(t)), np.argmax(np.abs(t))
@@ -258,11 +269,11 @@ def similarity(gamma_a, gamma_b) -> float:
 
     S = (sum sqrt(G G'))^2 / (sum G sum G'); equals 1 exactly when the
     normalized matrices coincide and 0 for disjoint supports. Invariant under
-    separate positive rescaling of either argument. Accepts CorrelationMatrix
-    objects or bare arrays.
+    separate positive rescaling of either argument. Takes arrays; pass a
+    CorrelationMatrix's ``values``.
     """
-    a = np.asarray(getattr(gamma_a, "values", gamma_a), dtype=float)
-    b = np.asarray(getattr(gamma_b, "values", gamma_b), dtype=float)
+    a = np.asarray(gamma_a, dtype=float)
+    b = np.asarray(gamma_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("distributions must have identical shapes")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):

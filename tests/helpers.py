@@ -4,9 +4,9 @@ The oracles here deliberately avoid the code paths they check: the matrix
 exponential uses scaling-and-squaring of a truncated Taylor series instead of
 an eigendecomposition, two-photon statistics come from brute-force Fock-space
 evolution, the z-ordered product is the one-segment-at-a-time loop, and
-Stokes vectors of pure fields are computed from first principles. The
-single-photon helpers and the raised-sine path are conveniences that only the
-tests use.
+Stokes vectors of pure fields and Mueller matrices of Jones blocks are
+computed from first principles. The single-photon helpers and the raised-sine
+path are conveniences that only the tests use.
 """
 
 from __future__ import annotations
@@ -62,6 +62,37 @@ def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (a + a.conj().T) / 2.0
+
+
+# Change of basis between the coherency vector (ExEx*, ExEy*, EyEx*, EyEy*)
+# and the Stokes vector, and its exact inverse.
+_A_STOKES = np.array(
+    [
+        [1, 0, 0, 1],
+        [1, 0, 0, -1],
+        [0, 1, 1, 0],
+        [0, -1j, 1j, 0],
+    ],
+    dtype=complex,
+)
+_A_STOKES_INV = 0.5 * np.array(
+    [
+        [1, 1, 0, 0],
+        [0, 0, 1, 1j],
+        [0, 0, 1, -1j],
+        [1, -1, 0, 0],
+    ],
+    dtype=complex,
+)
+
+
+def jones_to_mueller(jones: np.ndarray) -> np.ndarray:
+    """4 x 4 Mueller matrix of a 2 x 2 Jones block."""
+    j = np.asarray(jones, dtype=complex)
+    if j.shape != (2, 2):
+        raise ValueError("expected a 2 x 2 Jones block")
+    m = _A_STOKES @ np.kron(j, j.conj()) @ _A_STOKES_INV
+    return m.real
 
 
 def field_stokes(field) -> np.ndarray:

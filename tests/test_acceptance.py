@@ -16,7 +16,6 @@ from wgwalk.geometry import elliptical_layout, fan_in_layout
 from wgwalk.polarization import (
     build_polarized_chip,
     extract_h_subspace,
-    jones_to_mueller,
     pdl_report,
     reconstruct_mueller,
     simulate_tomography,
@@ -35,6 +34,7 @@ from helpers import (
     expm_taylor,
     fock_oracle,
     intensity_trace,
+    jones_to_mueller,
     paper_ellipse,
     port_block,
     random_chip,

@@ -285,6 +285,14 @@ class TestHomCommand:
         assert main(["hom", "--config", cfg_path]) == 2
         assert "hom.points" in capsys.readouterr().err
 
+    def test_fit_on_two_distinct_delay_magnitudes_is_numerical_failure(self, tmp_path, capsys):
+        cfg = self.hom_config(tmp_path / "run")
+        cfg["hom"].update(points=4, visibility_mode="fit")
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["hom", "--config", cfg_path]) == 3
+        assert "three distinct |delay| values" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "hom_scan.csv").exists()
+
     def test_missing_hom_section_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config(tmp_path / "run"))
         assert main(["hom", "--config", cfg_path]) == 2
@@ -352,6 +360,19 @@ class TestTomographyCommand:
         assert main(["tomography", "--config", cfg_path, "--mode", "simulate"]) == 0
         record_path = tmp_path / "run" / "tomography_record.csv"
         return cfg_path, record_path, record_path.read_text().splitlines()
+
+    @pytest.mark.parametrize("mode", ["reconstruct", "report"])
+    def test_record_of_another_port_count_is_reconstruction_failure(self, tmp_path, capsys, mode):
+        cfg_path = write_config(tmp_path, self.pol_config(tmp_path / "run"))
+        assert main(["tomography", "--config", cfg_path, "--mode", "simulate"]) == 0
+        cfg = base_config(tmp_path / "run", polarization={})
+        cfg["layout"]["count"] = 8
+        eight_path = write_config(tmp_path, cfg, "eight.json")
+        capsys.readouterr()
+        assert main(["tomography", "--config", eight_path, "--mode", mode]) == 3
+        err = capsys.readouterr().err
+        assert "covers 6 ports" in err and "layout has 8" in err
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["tomography_record.csv"]
 
     def test_record_rows_accepted_in_any_order(self, tmp_path):
         _, record_path, lines = self.simulated_record(tmp_path)

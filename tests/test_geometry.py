@@ -1,8 +1,12 @@
+import json
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wgwalk.config import parse_run_config
 from wgwalk.geometry import (
     WaveguideLayout,
     elliptical_layout,
@@ -242,6 +246,20 @@ class TestPermutedLayout:
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
             permuted_layout(linear_layout(3, 10.0), [0, 0, 1])
+
+
+class TestPickledFanIn:
+    @pytest.mark.parametrize("index_order", [None, [1, 2, 3, 6, 5, 4]])
+    def test_fan_in_run_config_round_trips(self, index_order):
+        path = Path(__file__).resolve().parent.parent / "configs" / "fanin_walk.json"
+        raw = json.loads(path.read_text())
+        if index_order is not None:
+            raw["layout"]["index_order"] = index_order
+        cfg = parse_run_config(raw)
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy.layout.z_span == cfg.layout.z_span == (0.0, 9.5)
+        z = np.linspace(0.0, 9.5, 1024)
+        assert np.array_equal(copy.layout.positions_at(z), cfg.layout.positions_at(z))
 
 
 class TestLayoutValidation:

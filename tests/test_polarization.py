@@ -12,7 +12,6 @@ from wgwalk.polarization import (
     TomographyRecord,
     build_polarized_chip,
     extract_h_subspace,
-    jones_to_mueller,
     pdl_report,
     poincare_ellipsoid,
     reconstruct_mueller,
@@ -24,6 +23,7 @@ from wgwalk.twophoton import gamma_indistinguishable
 
 from helpers import (
     field_stokes,
+    jones_to_mueller,
     paper_ellipse,
     poincare_ellipsoid_reference,
     port_block,

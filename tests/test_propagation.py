@@ -9,7 +9,6 @@ from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import elliptical_layout, fan_in_layout, permuted_layout
 from wgwalk.propagation import (
     SEGMENTS_PER_BATCH,
-    UNITARITY_TOL,
     _exp_i_taylor,
     propagate_z_dependent,
     unitary,
@@ -24,6 +23,8 @@ from helpers import (
     random_symmetric,
     single_photon_distribution,
 )
+
+UNITARITY_TOL = 1e-10
 
 
 def unitarity_deviation(u: np.ndarray) -> float:

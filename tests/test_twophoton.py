@@ -214,6 +214,18 @@ class TestVisibility:
         scan = HomScan(delays, counts[:, None, None], 1.0, (0, 1))
         assert visibility(scan, (0, 0), mode="fit") == pytest.approx(-0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("points", [3, 4])
+    def test_fit_rejects_fewer_than_three_distinct_delay_magnitudes(self, points):
+        # |t| = 4, 0, 4 and 4, 4/3, 4/3, 4 (the two 4/3 one ulp apart)
+        scan = hom_scan(splitter_5050(), 0, 1, np.linspace(-4, 4, points), 1.0)
+        with pytest.raises(ValueError, match="three distinct"):
+            visibility(scan, (0, 1), mode="fit")
+
+    @pytest.mark.parametrize("delays", [np.linspace(-4, 4, 5), [0.0, 1.0, 2.0]])
+    def test_fit_accepts_three_distinct_delay_magnitudes(self, delays):
+        scan = hom_scan(splitter_5050(), 0, 1, delays, 1.0)
+        assert visibility(scan, (0, 1), mode="fit") == pytest.approx(1.0, abs=1e-9)
+
     def test_no_coincidences_is_undefined(self):
         scan = HomScan(np.array([0.0]), np.zeros((1, 2, 2)), 1.0, (0, 1))
         with pytest.raises(ValueError):
@@ -322,7 +334,7 @@ def _similarity_by_loops(a, b):
 class TestSimilarity:
     def test_identical_distributions(self):
         g = gamma_indistinguishable(splitter_5050(), 0, 1)
-        assert similarity(g, g) == pytest.approx(1.0, abs=1e-14)
+        assert similarity(g.values, g.values) == pytest.approx(1.0, abs=1e-14)
 
     def test_disjoint_supports(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
