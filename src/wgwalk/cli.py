@@ -251,7 +251,6 @@ def cmd_fidelity(file_a, file_b) -> Artifacts:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     value = similarity(a, b)
-    print(f"S = {value!r}")
     return {"fidelity.json": {"similarity": value, "files": [Path(file_a).name, Path(file_b).name]}}
 
 
@@ -326,6 +325,8 @@ def main(argv=None) -> int:
                 io.write_record_csv(path, content, digest)
             else:
                 io.write_matrix_csv(path, content, digest)
+            if name == "fidelity.json":  # S is reported only once it is on disk
+                print(f"S = {content['similarity']!r}")
             print(f"wrote {path}")
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -506,8 +506,7 @@ class TestFidelityCommand:
         path = tmp_path / "gamma.csv"
         io.write_matrix_csv(path, matrix)
         assert main(["fidelity", str(path), str(path), "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "S = 1.0" in out
+        assert capsys.readouterr().out == f"S = 1.0\nwrote {tmp_path / 'fidelity.json'}\n"
         payload = json.loads((tmp_path / "fidelity.json").read_text())
         assert payload["similarity"] == pytest.approx(1.0, abs=1e-14)
 
@@ -570,6 +569,14 @@ class TestFidelityCommand:
         io.write_matrix_csv(b, np.eye(2))
         assert main(["fidelity", str(a), str(b)]) == 3
 
+    def test_failed_write_reports_no_similarity(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        io.write_matrix_csv(a, np.eye(2))
+        taken = tmp_path / "taken"
+        taken.touch()
+        assert main(["fidelity", str(a), str(a), "--out", str(taken)]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestHeadersAndMeta:
     def test_csv_headers_carry_version_and_config_hash(self, tmp_path):
@@ -601,6 +608,12 @@ class TestInputPortValidation:
         assert "distinct" in capsys.readouterr().err
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+NEEDS_PROC_TASKS = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task"
+)
+
+
 class TestStartup:
     def test_cli_import_does_not_load_scipy(self):
         # scipy's import alone took longer than any shipped command computes
@@ -611,6 +624,30 @@ class TestStartup:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "False"
+
+    @staticmethod
+    def _after_import(**preset):
+        """Thread count and OPENBLAS_NUM_THREADS after a fresh ``import wgwalk.cli``."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+        env.update(preset, PYTHONPATH=str(src))
+        probe = (
+            "import os, wgwalk.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        return tuple(result.stdout.split())
+
+    @NEEDS_PROC_TASKS
+    def test_cli_import_pins_one_blas_thread(self):
+        # no matrix is wider than 2N, where a BLAS worker pool only burns CPU
+        assert self._after_import() == ("1", "1")
+
+    @NEEDS_PROC_TASKS
+    def test_user_thread_setting_wins(self):
+        assert self._after_import(OMP_NUM_THREADS="2")[1] == "None"
 
 
 # Property test: mutated shipped configs end in a stable exit code, and a
