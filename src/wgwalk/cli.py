@@ -35,7 +35,6 @@ from .twophoton import (
     gamma_distinguishable,
     gamma_indistinguishable,
     hom_scan,
-    quantum_difference,
     similarity,
     visibility,
 )
@@ -122,18 +121,18 @@ def cmd_correlations(cfg: RunConfig) -> Artifacts:
     i, j = _input_pair(cfg)
     gi = gamma_indistinguishable(total, i, j)
     gd = gamma_distinguishable(total, i, j)
-    diff = quantum_difference(total, i, j)
-    for matrix in (gi, gd):
-        _check_normalized(abs(matrix.upper_triangle_sum() - 1.0), f"{matrix.kind} correlations")
+    for kind, matrix in (("indistinguishable", gi), ("distinguishable", gd)):
+        _check_normalized(abs(np.sum(np.triu(matrix)) - 1.0), f"{kind} correlations")
+    diff = gd - gi
     return {
-        "gamma_indistinguishable.csv": gi.values,
-        "gamma_distinguishable.csv": gd.values,
-        "gamma_difference.csv": diff.values,
+        "gamma_indistinguishable.csv": gi,
+        "gamma_distinguishable.csv": gd,
+        "gamma_difference.csv": diff,
         "correlations.json": {
             "input_ports": [i + 1, j + 1],
-            "indistinguishable": gi.values,
-            "distinguishable": gd.values,
-            "difference": diff.values,
+            "indistinguishable": gi,
+            "distinguishable": gd,
+            "difference": diff,
         },
     }
 
@@ -143,14 +142,16 @@ def cmd_hom(cfg: RunConfig) -> Artifacts:
         raise ConfigError("missing config section 'hom'")
     _, _, total = _chip_propagators(cfg)
     i, j = _input_pair(cfg)
-    scan = hom_scan(total, i, j, cfg.hom.delays, cfg.hom.coherence_sigma)
+    delays, sigma = cfg.hom.delays, cfg.hom.coherence_sigma
+    scan = hom_scan(total, i, j, delays, sigma)
 
     ks, ls = np.triu_indices(cfg.layout.n)
     pairs = list(zip(ks.tolist(), ls.tolist()))
     columns = ["delay"] + [f"C_{k + 1}_{l + 1}" for k, l in pairs]
-    rows = np.column_stack([scan.delays, scan.coincidences[:, ks, ls]])
+    counts = scan[:, ks, ls]
+    rows = np.column_stack([delays, counts])
 
-    values = visibility(scan, (ks, ls), mode=cfg.hom.visibility_mode)
+    values = visibility(delays, counts, sigma, mode=cfg.hom.visibility_mode)
     summary = [
         {"output_pair": [k + 1, l + 1], "visibility": None if math.isnan(v) else v}
         for (k, l), v in zip(pairs, values.tolist())
@@ -159,7 +160,7 @@ def cmd_hom(cfg: RunConfig) -> Artifacts:
         "hom_scan.csv": (columns, rows),
         "visibility.json": {
             "input_ports": [i + 1, j + 1],
-            "coherence_sigma": scan.coherence_sigma,
+            "coherence_sigma": sigma,
             "mode": cfg.hom.visibility_mode,
             "pairs": summary,
         },
@@ -204,20 +205,20 @@ def cmd_tomography_simulate(cfg: RunConfig) -> Artifacts:
 
 
 def cmd_tomography_reconstruct(cfg: RunConfig) -> Artifacts:
-    array = reconstruct_mueller(_load_record(cfg))
+    matrices, residuals = reconstruct_mueller(_load_record(cfg))
     return {
         "mueller.json": {
-            "n_ports": array.n_ports,
-            "matrices": array.matrices,
-            "residuals": array.residuals,
+            "n_ports": matrices.shape[0],
+            "matrices": matrices,
+            "residuals": residuals,
         }
     }
 
 
 def cmd_tomography_report(cfg: RunConfig) -> Artifacts:
     record = _load_record(cfg)
-    array = reconstruct_mueller(record)
-    e = poincare_ellipsoid(array.matrices)
+    matrices, _ = reconstruct_mueller(record)
+    e = poincare_ellipsoid(matrices)
     powers, degenerate = e.average_power.tolist(), e.degenerate.tolist()
     ellipsoids = [
         [
@@ -231,9 +232,9 @@ def cmd_tomography_report(cfg: RunConfig) -> Artifacts:
                 "average_power": powers[out_port][in_port],
                 "degenerate": degenerate[out_port][in_port],
             }
-            for in_port in range(array.n_ports)
+            for in_port in range(record.n_ports)
         ]
-        for out_port in range(array.n_ports)
+        for out_port in range(record.n_ports)
     ]
     return {
         "ellipsoids.json": {"ellipsoids": ellipsoids},

@@ -14,7 +14,7 @@ states are L = (|H> + i|V>)/sqrt(2) and R = (|H> - i|V>)/sqrt(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,21 +100,6 @@ class TomographyRecord:
     @property
     def n_ports(self) -> int:
         return self.intensities.shape[0]
-
-
-@dataclass(frozen=True)
-class MuellerArray:
-    """Per-port-pair 4 x 4 Mueller matrices with least-squares fit residuals.
-
-    ``matrices[i, j]`` maps input-port-j Stokes vectors to output-port-i ones.
-    """
-
-    matrices: np.ndarray
-    residuals: np.ndarray
-
-    @property
-    def n_ports(self) -> int:
-        return self.matrices.shape[0]
 
 
 @dataclass(frozen=True)
@@ -240,13 +225,15 @@ def simulate_tomography(
 _STOKES_INPUTS = np.stack([STOKES_STATES[s] for s in STATE_ORDER])  # (6, 4)
 
 
-def reconstruct_mueller(record: TomographyRecord) -> MuellerArray:
-    """Least-squares Mueller array from a six-state tomography record.
+def reconstruct_mueller(record: TomographyRecord) -> Tuple[np.ndarray, np.ndarray]:
+    """Least-squares Mueller matrices from a six-state tomography record.
 
     For every (output, input) port pair the six measured output Stokes
     vectors are regressed against the six canonical input states (24
     equations for 16 unknowns); the redundant protocol averages photometric
-    noise. The rms equation residual is reported per pair.
+    noise. Returns ``(matrices, residuals)``: ``matrices[i, j]`` of shape
+    (N, N, 4, 4) maps input-port-j Stokes vectors to output-port-i ones, and
+    ``residuals[i, j]`` of shape (N, N) is that pair's rms equation residual.
     """
     n = record.n_ports
     intens = np.moveaxis(record.intensities, 2, 0)  # out port, in port, state, analyzer
@@ -259,7 +246,7 @@ def reconstruct_mueller(record: TomographyRecord) -> MuellerArray:
     misfit = (_STOKES_INPUTS @ solution - rhs).reshape(6, n, n, 4)
     misfit = np.moveaxis(misfit, 0, 2).reshape(n, n, 24)  # rows hold (state, component)
     residuals = np.sqrt(np.mean(misfit**2, axis=-1))
-    return MuellerArray(matrices, residuals)
+    return matrices, residuals
 
 
 def poincare_ellipsoid(mueller: np.ndarray) -> PoincareEllipsoid:
@@ -312,15 +299,16 @@ def poincare_ellipsoid(mueller: np.ndarray) -> PoincareEllipsoid:
     )
 
 
-def extract_h_subspace(array: MuellerArray) -> np.ndarray:
+def extract_h_subspace(matrices: np.ndarray) -> np.ndarray:
     """Estimated |U|^2 in the horizontal subspace.
 
-    Applies each Mueller matrix to the H Stokes vector and returns the
-    H-projected transmitted power (S0 + S1)/2 of the output, the
+    Applies each Mueller matrix of the (N, N, 4, 4) ``matrices`` that
+    ``reconstruct_mueller`` returns to the H Stokes vector and gives the
+    (N, N) H-projected transmitted power (S0 + S1)/2 of the outputs, the
     intensity-level transfer a polarization-insensitive measurement of
     horizontal light would see.
     """
-    stokes_out = array.matrices @ STOKES_STATES["H"]
+    stokes_out = matrices @ STOKES_STATES["H"]
     return 0.5 * (stokes_out[..., 0] + stokes_out[..., 1])
 
 

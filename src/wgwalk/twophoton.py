@@ -9,45 +9,9 @@ is the probability of detecting that unordered output pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-
-KIND_INDISTINGUISHABLE = "indistinguishable"
-KIND_DISTINGUISHABLE = "distinguishable"
-KIND_DIFFERENCE = "difference"
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric matrix of coincidence probabilities for one input pair."""
-
-    values: np.ndarray
-    kind: str
-    input_pair: Tuple[int, int]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def upper_triangle_sum(self) -> float:
-        return float(np.sum(np.triu(self.values)))
-
-
-@dataclass(frozen=True)
-class HomScan:
-    """Coincidence matrices across relative input delays.
-
-    ``delays`` and ``coherence_sigma`` share the same (arbitrary) time units;
-    ``coincidences[d, k, l]`` is the coincidence probability of output pair
-    (k, l) at delay ``delays[d]``.
-    """
-
-    delays: np.ndarray
-    coincidences: np.ndarray
-    coherence_sigma: float
-    input_pair: Tuple[int, int]
 
 
 def _validated_inputs(u: np.ndarray, i: int, j: int) -> Tuple[int, int]:
@@ -67,7 +31,7 @@ def _validated_inputs(u: np.ndarray, i: int, j: int) -> Tuple[int, int]:
     return min(i, j), max(i, j)
 
 
-def gamma_indistinguishable(propagator, i: int, j: int) -> CorrelationMatrix:
+def gamma_indistinguishable(propagator, i: int, j: int) -> np.ndarray:
     """Coincidences for temporally indistinguishable photons in inputs i, j.
 
     The pair amplitudes interfere: entry (k, l) is
@@ -77,11 +41,10 @@ def gamma_indistinguishable(propagator, i: int, j: int) -> CorrelationMatrix:
     i, j = _validated_inputs(u, i, j)
     pair = np.outer(u[:, i], u[:, j])
     amplitudes = pair + pair.T
-    values = np.abs(amplitudes) ** 2 / (1.0 + np.eye(u.shape[0]))
-    return CorrelationMatrix(values, KIND_INDISTINGUISHABLE, (i, j))
+    return np.abs(amplitudes) ** 2 / (1.0 + np.eye(u.shape[0]))
 
 
-def gamma_distinguishable(propagator, i: int, j: int) -> CorrelationMatrix:
+def gamma_distinguishable(propagator, i: int, j: int) -> np.ndarray:
     """Coincidences for temporally distinguishable photons (independent walks).
 
     Each photon walks on its own; entry (k, l) is the Bernoulli-trial sum
@@ -91,19 +54,7 @@ def gamma_distinguishable(propagator, i: int, j: int) -> CorrelationMatrix:
     i, j = _validated_inputs(u, i, j)
     p_i = np.abs(u[:, i]) ** 2
     p_j = np.abs(u[:, j]) ** 2
-    values = (np.outer(p_i, p_j) + np.outer(p_j, p_i)) / (1.0 + np.eye(u.shape[0]))
-    return CorrelationMatrix(values, KIND_DISTINGUISHABLE, (i, j))
-
-
-def quantum_difference(propagator, i: int, j: int) -> CorrelationMatrix:
-    """Element-wise gamma_distinguishable - gamma_indistinguishable.
-
-    Positive entries mark output pairs whose coincidences two-photon
-    interference suppresses (bunching), negative entries enhanced ones.
-    """
-    gi = gamma_indistinguishable(propagator, i, j)
-    gd = gamma_distinguishable(propagator, i, j)
-    return CorrelationMatrix(gd.values - gi.values, KIND_DIFFERENCE, (i, j))
+    return (np.outer(p_i, p_j) + np.outer(p_j, p_i)) / (1.0 + np.eye(u.shape[0]))
 
 
 def hom_scan(
@@ -112,63 +63,60 @@ def hom_scan(
     j: int,
     delays: Sequence[float],
     coherence_sigma: float,
-) -> HomScan:
+) -> np.ndarray:
     """Coincidence matrices as a function of relative input delay.
 
-    Partial distinguishability enters through a single Gaussian mode overlap
+    ``delays`` and ``coherence_sigma`` share the same (arbitrary) time units;
+    entry [d, k, l] of the (D, N, N) result is the coincidence probability of
+    output pair (k, l) at delay ``delays[d]``. Partial distinguishability
+    enters through a single Gaussian mode overlap
     gamma(dt) = exp(-dt^2 / (2 sigma^2)); each delay point is the convex
     combination gamma * Gamma_indistinguishable + (1 - gamma) *
     Gamma_distinguishable, so the scan interpolates between full two-photon
     interference at zero delay and independent walkers far away.
     """
-    if coherence_sigma <= 0:
+    # written so that a NaN sigma fails too
+    if not coherence_sigma > 0:
         raise ValueError("coherence_sigma must be positive")
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
-    gi = gamma_indistinguishable(propagator, i, j).values
-    gd = gamma_distinguishable(propagator, i, j).values
+    gi = gamma_indistinguishable(propagator, i, j)
+    gd = gamma_distinguishable(propagator, i, j)
     # delay / sigma first, so that a tiny sigma overflows to a zero overlap
     # instead of squaring to zero and making the zero-delay row 0/0
     with np.errstate(over="ignore"):
         overlap = np.exp(-0.5 * (delays / coherence_sigma) ** 2)
-    coincidences = gd[None, :, :] + overlap[:, None, None] * (gi - gd)[None, :, :]
-    return HomScan(delays, coincidences, float(coherence_sigma), (i, j))
+    return gd[None, :, :] + overlap[:, None, None] * (gi - gd)[None, :, :]
 
 
-def visibility(scan: HomScan, output_pair, mode: str = "extrema"):
-    """Interference visibility (C_max - C_min) / C_max of output pairs.
+def visibility(delays, counts, coherence_sigma: float, mode: str = "extrema") -> np.ndarray:
+    """Interference visibility (C_max - C_min) / C_max of P output pairs.
+
+    ``counts`` has shape (T, P): column p is the coincidence scan of one
+    output pair over the T ``delays``, in the units of ``coherence_sigma``.
+    Returns a (P,) float array with NaN where the visibility is undefined.
 
     ``mode="extrema"`` uses the raw scan extrema. ``mode="fit"`` fits a
-    three-parameter Gaussian baseline - depth * exp(-dt^2 / (2 width^2)) and
-    returns depth / baseline, so a coincidence peak (inverted dip) comes out
-    negative.
+    three-parameter Gaussian baseline - depth * exp(-dt^2 / (2 width^2)),
+    starting from width ``coherence_sigma``, and returns depth / baseline, so
+    a coincidence peak (inverted dip) comes out negative.
 
-    ``output_pair`` is one pair ``(k, l)``, which gives a float and raises
-    ValueError when the visibility is undefined, or a pair of index arrays
-    ``(ks, ls)``, which gives a float array of their shape with NaN where the
-    visibility is undefined. It is undefined for a pair without coincidences,
-    and in fit mode also where the fitted baseline is not positive or the fit
-    did not converge. Fit mode raises ValueError for any pair on a scan with
-    fewer than three distinct |delay| values.
+    A visibility is undefined for a pair without coincidences, and in fit
+    mode also where the fitted baseline is not positive or the fit did not
+    converge. Fit mode raises ValueError for fewer than three distinct
+    |delay| values.
     """
-    k, l = output_pair
-    counts = scan.coincidences[:, k, l]
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2 or np.shape(delays) != counts.shape[:1]:
+        raise ValueError(f"counts of shape {counts.shape} do not match {np.size(delays)} delays")
     if counts.shape[0] == 0:
         raise ValueError("empty delay scan")
     if mode == "extrema":
         c_max = np.max(counts, axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.where(c_max > 0.0, (c_max - np.min(counts, axis=0)) / c_max, np.nan)
-    elif mode == "fit":
-        columns = counts.reshape(counts.shape[0], -1)
-        values = _fit_visibility(scan.delays, columns, scan.coherence_sigma)
-        values = values.reshape(counts.shape[1:])
-    else:
-        raise ValueError(f"unknown visibility mode {mode!r}")
-    if values.ndim:
-        return values
-    if np.isnan(values):
-        raise ValueError(f"visibility undefined at output pair {output_pair}")
-    return float(values)
+            return np.where(c_max > 0.0, (c_max - np.min(counts, axis=0)) / c_max, np.nan)
+    if mode == "fit":
+        return _fit_visibility(delays, counts, coherence_sigma)
+    raise ValueError(f"unknown visibility mode {mode!r}")
 
 
 # Levenberg-Marquardt settings of the dip fit. Damping starts at
@@ -269,8 +217,9 @@ def similarity(gamma_a, gamma_b) -> float:
 
     S = (sum sqrt(G G'))^2 / (sum G sum G'); equals 1 exactly when the
     normalized matrices coincide and 0 for disjoint supports. Invariant under
-    separate positive rescaling of either argument. Takes arrays; pass a
-    CorrelationMatrix's ``values``.
+    separate positive rescaling of either argument; takes the arrays that
+    ``gamma_indistinguishable``, ``gamma_distinguishable`` and ``hom_scan``
+    return, or any nonnegative arrays of one shape.
     """
     a = np.asarray(gamma_a, dtype=float)
     b = np.asarray(gamma_b, dtype=float)

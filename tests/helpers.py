@@ -20,7 +20,7 @@ from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import WaveguideLayout, _raised_sine, elliptical_layout
 from wgwalk.polarization import STATE_ORDER, STOKES_STATES, JonesTransfer, build_polarized_chip
 from wgwalk.propagation import evolve_amplitudes, unitary
-from wgwalk.twophoton import KIND_INDISTINGUISHABLE, CorrelationMatrix, _validated_inputs
+from wgwalk.twophoton import _validated_inputs
 
 PAPER_SEMI_MAJOR_UM = 10.2
 PAPER_SEMI_MINOR_UM = 7.0
@@ -181,7 +181,7 @@ def poincare_ellipsoid_reference(m: np.ndarray, degenerate_tol: float = 1e-12):
     return m[1:, 0].copy(), axes, rotation, markers, average_power, degenerate
 
 
-def fock_oracle(propagator, i: int, j: int) -> CorrelationMatrix:
+def fock_oracle(propagator, i: int, j: int) -> np.ndarray:
     """Brute-force two-photon evolution in the photon-number basis.
 
     Expands the two-photon input over all ordered output mode pairs, collects
@@ -207,7 +207,7 @@ def fock_oracle(propagator, i: int, j: int) -> CorrelationMatrix:
     for (k, l), pos in index.items():
         values[k, l] = probabilities[pos]
         values[l, k] = probabilities[pos]
-    return CorrelationMatrix(values, KIND_INDISTINGUISHABLE, (i, j))
+    return values
 
 
 def propagate_per_step(

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from wgwalk import io
 from wgwalk.cli import main
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
-from wgwalk.polarization import MuellerArray, extract_h_subspace
+from wgwalk.polarization import extract_h_subspace
 from wgwalk.propagation import unitary
-from wgwalk.twophoton import gamma_indistinguishable, similarity
+from wgwalk.twophoton import gamma_indistinguishable, similarity, visibility
 
 from helpers import complex_matrix_from_payload, paper_ellipse, read_table_csv
 
@@ -231,7 +232,7 @@ class TestCorrelationsCommand:
         assert main(["correlations", "--config", cfg_path]) == 0
         emitted = io.read_matrix_csv(tmp_path / "run" / "gamma_indistinguishable.csv")
         u = unitary(build_coupling_matrix(paper_ellipse(), CouplingModel()), 1.0)
-        expected = gamma_indistinguishable(u, 0, 1).values
+        expected = gamma_indistinguishable(u, 0, 1)
         np.testing.assert_allclose(emitted, expected, atol=1e-12)
         bundle = json.loads((tmp_path / "run" / "correlations.json").read_text())
         assert bundle["input_ports"] == [1, 2]
@@ -248,7 +249,7 @@ class TestCorrelationsCommand:
         u = unitary(build_coupling_matrix(paper_ellipse(), CouplingModel()), 1.0)
         np.testing.assert_allclose(
             np.asarray(bundle["indistinguishable"]),
-            gamma_indistinguishable(u, 1, 3).values,
+            gamma_indistinguishable(u, 1, 3),
             atol=1e-12,
         )
 
@@ -292,6 +293,17 @@ class TestHomCommand:
         assert main(["hom", "--config", cfg_path]) == 3
         assert "three distinct |delay| values" in capsys.readouterr().err
         assert not (tmp_path / "run" / "hom_scan.csv").exists()
+
+    def test_fit_mode_on_shipped_ellipse(self, tmp_path):
+        cfg_path = _shipped_config(tmp_path, "ellipse_walk", hom={"visibility_mode": "fit"})
+        assert main(["hom", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "visibility.json").read_text())
+        assert summary["mode"] == "fit"
+        written = [p["visibility"] for p in summary["pairs"]]
+        assert len(written) == 21 and None not in written
+        _, table = read_table_csv(tmp_path / "run" / "hom_scan.csv")
+        expected = visibility(table[:, 0], table[:, 1:], 1.0, "fit")
+        assert written == expected.tolist()
 
     def test_missing_hom_section_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config(tmp_path / "run"))
@@ -337,7 +349,8 @@ class TestTomographyCommand:
         assert main(["tomography", "--config", cfg_path, "--mode", "reconstruct"]) == 0
         payload = json.loads((tmp_path / "run" / "mueller.json").read_text())
         matrices = np.asarray(payload["matrices"])
-        h_subspace = extract_h_subspace(MuellerArray(matrices, np.asarray(payload["residuals"])))
+        assert payload["n_ports"] == 6
+        h_subspace = extract_h_subspace(matrices)
         unitary_payload = json.loads((tmp_path / "run" / "unitary.json").read_text())
         u = complex_matrix_from_payload(unitary_payload["matrix_re_im"])
         np.testing.assert_allclose(h_subspace, np.abs(u) ** 2, rtol=0, atol=1e-10)
@@ -648,6 +661,17 @@ class TestStartup:
     @NEEDS_PROC_TASKS
     def test_user_thread_setting_wins(self):
         assert self._after_import(OMP_NUM_THREADS="2")[1] == "None"
+
+
+def test_readme_library_example_runs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", blocks[0]], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # Property test: mutated shipped configs end in a stable exit code, and a

@@ -249,38 +249,39 @@ class TestSimulateTomography:
 
 class TestReconstructMueller:
     def test_identity_chip_round_trip(self):
-        array = reconstruct_mueller(simulate_tomography(identity_chip()))
+        matrices, residuals = reconstruct_mueller(simulate_tomography(identity_chip()))
+        assert matrices.shape == (6, 6, 4, 4) and residuals.shape == (6, 6)
         for i in range(6):
             for j in range(6):
                 expected = np.eye(4) if i == j else np.zeros((4, 4))
-                np.testing.assert_allclose(array.matrices[i, j], expected, atol=1e-8)
-        np.testing.assert_allclose(array.residuals, 0.0, atol=1e-10)
+                np.testing.assert_allclose(matrices[i, j], expected, atol=1e-8)
+        np.testing.assert_allclose(residuals, 0.0, atol=1e-10)
 
     def test_random_chip_round_trip_matches_jones_derived(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
             chip = random_chip(rng)
-            array = reconstruct_mueller(simulate_tomography(chip))
+            matrices, _ = reconstruct_mueller(simulate_tomography(chip))
             for i in range(6):
                 for j in range(6):
                     np.testing.assert_allclose(
-                        array.matrices[i, j],
+                        matrices[i, j],
                         jones_to_mueller(port_block(chip, i, j)),
                         atol=1e-8,
                     )
 
     def test_noisy_record_reports_nonzero_residual(self):
         chip = random_chip(np.random.default_rng(23))
-        noisy = reconstruct_mueller(
+        _, residuals = reconstruct_mueller(
             simulate_tomography(chip, 0.01, np.random.default_rng(1))
         )
-        assert np.max(noisy.residuals) > 1e-6
+        assert np.max(residuals) > 1e-6
 
     def test_residuals_indexed_by_output_then_input_port(self):
         record = simulate_tomography(random_chip(np.random.default_rng(37))).intensities
         in_port, out_port = 1, 4
         record[in_port, 0, out_port, :] *= 1.5  # H input no longer fits this pair's Mueller map
-        residuals = reconstruct_mueller(TomographyRecord(record)).residuals
+        _, residuals = reconstruct_mueller(TomographyRecord(record))
         assert residuals[out_port, in_port] > 0
         others = np.delete(residuals.ravel(), out_port * 6 + in_port)
         assert np.max(others) <= 1e-12
@@ -296,8 +297,8 @@ class TestReconstructMueller:
         )
         errors = []
         for _ in range(100):
-            array = reconstruct_mueller(simulate_tomography(chip, 0.01, rng))
-            errors.append(np.abs(array.matrices - truth))
+            matrices, _ = reconstruct_mueller(simulate_tomography(chip, 0.01, rng))
+            errors.append(np.abs(matrices - truth))
         errors = np.asarray(errors)
         assert np.median(errors) < 0.02
         assert np.max(np.median(errors, axis=0)) < 0.05
@@ -305,11 +306,11 @@ class TestReconstructMueller:
     def test_reconstructed_outputs_stay_physical(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            array = reconstruct_mueller(simulate_tomography(random_chip(rng)))
+            matrices, _ = reconstruct_mueller(simulate_tomography(random_chip(rng)))
             for i in range(6):
                 for j in range(6):
                     for state in STATE_ORDER:
-                        out = array.matrices[i, j] @ STOKES_STATES[state]
+                        out = matrices[i, j] @ STOKES_STATES[state]
                         assert out[0] >= -1e-9
                         if out[0] > 1e-12:
                             assert np.linalg.norm(out[1:]) <= out[0] * (1 + 1e-9)
@@ -342,18 +343,18 @@ class TestPoincareEllipsoid:
     def test_orientation_is_proper_rotation(self):
         rng = np.random.default_rng(37)
         chip = random_chip(rng)
-        array = reconstruct_mueller(simulate_tomography(chip))
-        e = poincare_ellipsoid(array.matrices[3, 1])
+        matrices, _ = reconstruct_mueller(simulate_tomography(chip))
+        e = poincare_ellipsoid(matrices[3, 1])
         np.testing.assert_allclose(e.orientation @ e.orientation.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(e.orientation) == pytest.approx(1.0, abs=1e-12)
 
     def test_lossless_pair_semi_axes_bounded_by_transmission(self):
         chip = random_chip(np.random.default_rng(41), lossless=True)
-        array = reconstruct_mueller(simulate_tomography(chip))
+        matrices, _ = reconstruct_mueller(simulate_tomography(chip))
         for i in range(6):
             for j in range(6):
-                e = poincare_ellipsoid(array.matrices[i, j])
-                transmission = array.matrices[i, j][0, 0]
+                e = poincare_ellipsoid(matrices[i, j])
+                transmission = matrices[i, j][0, 0]
                 assert np.max(e.semi_axes) <= transmission + 1e-9
 
     def test_nonfinite_rejected(self):
@@ -367,9 +368,9 @@ class TestPoincareEllipsoid:
 
     def test_stack_bit_equal_to_per_matrix_reference(self):
         rng = np.random.default_rng(43)
-        array = reconstruct_mueller(simulate_tomography(random_chip(rng), 0.01, rng))
+        reconstructed, _ = reconstruct_mueller(simulate_tomography(random_chip(rng), 0.01, rng))
         matrices = np.concatenate(
-            [array.matrices.reshape(-1, 4, 4), rng.standard_normal((264, 4, 4))]
+            [reconstructed.reshape(-1, 4, 4), rng.standard_normal((264, 4, 4))]
         )
         matrices[0] = 0.0  # degenerate
         matrices[1] = np.diag([1.0, 1.0, 1.0, -1.0])  # reflection: det < 0
@@ -398,13 +399,13 @@ class TestPoincareEllipsoid:
 
 class TestExtractHSubspace:
     def test_identity_chip(self):
-        array = reconstruct_mueller(simulate_tomography(identity_chip()))
-        np.testing.assert_allclose(extract_h_subspace(array), np.eye(6), atol=1e-8)
+        matrices, _ = reconstruct_mueller(simulate_tomography(identity_chip()))
+        np.testing.assert_allclose(extract_h_subspace(matrices), np.eye(6), atol=1e-8)
 
     def test_scalar_chip_reproduces_single_photon_probabilities(self):
         chip, u = scalar_chip()
-        array = reconstruct_mueller(simulate_tomography(chip))
-        np.testing.assert_allclose(extract_h_subspace(array), np.abs(u) ** 2, atol=1e-8)
+        matrices, _ = reconstruct_mueller(simulate_tomography(chip))
+        np.testing.assert_allclose(extract_h_subspace(matrices), np.abs(u) ** 2, atol=1e-8)
 
     def test_strong_polarization_contrast_scenario(self):
         # constructed two-guide chip with strongly polarization-dependent
@@ -417,10 +418,10 @@ class TestExtractHSubspace:
             CouplingModel(c0_per_mm=0.3),
             z=1.1,
         )
-        array = reconstruct_mueller(simulate_tomography(chip))
-        h_fraction = extract_h_subspace(array)
+        matrices, _ = reconstruct_mueller(simulate_tomography(chip))
+        h_fraction = extract_h_subspace(matrices)
         v_in = STOKES_STATES["V"]
-        v_out = array.matrices @ v_in
+        v_out = matrices @ v_in
         v_fraction = 0.5 * (v_out[..., 0] - v_out[..., 1])
         assert h_fraction[1, 0] == pytest.approx(0.794, abs=0.02)
         assert v_fraction[1, 0] == pytest.approx(0.105, abs=0.02)
@@ -467,6 +468,6 @@ class TestScalarChipConsistency:
     def test_two_photon_correlations_match_scalar_model(self):
         chip, u = scalar_chip()
         h_block = chip.matrix[0::2, 0::2]
-        gamma_vec = gamma_indistinguishable(h_block, 0, 1).values
-        gamma_scalar = gamma_indistinguishable(u, 0, 1).values
+        gamma_vec = gamma_indistinguishable(h_block, 0, 1)
+        gamma_scalar = gamma_indistinguishable(u, 0, 1)
         np.testing.assert_allclose(gamma_vec, gamma_scalar, atol=1e-10)
