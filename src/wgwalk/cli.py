@@ -1,4 +1,4 @@
-"""Command-line surface: layout, propagate, correlations, hom, tomography, fidelity.
+"""Command-line surface: the pipeline subcommands of ``_COMMANDS``, plus fidelity.
 
 Every subcommand reads one JSON run configuration and writes plot-ready
 artifacts into the output directory. Each stage computes its artifacts in
@@ -255,12 +255,21 @@ def cmd_fidelity(file_a, file_b) -> Artifacts:
     return {"fidelity.json": {"similarity": value, "files": [Path(file_a).name, Path(file_b).name]}}
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="path to the JSON run configuration")
-    parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--steps", type=int, default=None, help="override z-integration steps")
-    parser.add_argument("--noise", type=float, default=None, help="override photometric noise")
+# Subcommand -> (help, stage), or (help, {mode: stage}) whose first mode is the default.
+_COMMANDS = {
+    "layout": ("materialize the waveguide layout and its distance matrix", cmd_layout),
+    "propagate": ("single-photon z-trace and final transfer matrix", cmd_propagate),
+    "correlations": ("two-photon correlation matrices for one input pair", cmd_correlations),
+    "hom": ("two-photon coincidences across relative input delays", cmd_hom),
+    "tomography": (
+        "simulate, reconstruct, or report six-state tomography",
+        {
+            "simulate": cmd_tomography_simulate,
+            "reconstruct": cmd_tomography_reconstruct,
+            "report": cmd_tomography_report,
+        },
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,20 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum walks of one and two photons in coupled waveguide arrays.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("layout", "materialize the waveguide layout and its distance matrix"),
-        ("propagate", "single-photon z-trace and final transfer matrix"),
-        ("correlations", "two-photon correlation matrices for one input pair"),
-        ("hom", "two-photon coincidences across relative input delays"),
-        ("tomography", "simulate, reconstruct, or report six-state tomography"),
-    ):
+    for name, (text, stage) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
-        _add_common_options(cmd)
-        if name == "tomography":
+        cmd.add_argument("--config", required=True, help="path to the JSON run configuration")
+        cmd.add_argument("--out", default=None, help="output directory (overrides config)")
+        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+        cmd.add_argument("--steps", type=int, default=None, help="override z-integration steps")
+        cmd.add_argument("--noise", type=float, default=None, help="override photometric noise")
+        if isinstance(stage, dict):
             cmd.add_argument(
                 "--mode",
-                choices=("simulate", "reconstruct", "report"),
-                default="simulate",
+                choices=tuple(stage),
+                default=next(iter(stage)),
                 help="which tomography stage to run",
             )
     fid = sub.add_parser("fidelity", help="overlap fidelity S between two matrix CSVs")
@@ -290,17 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     fid.add_argument("file_b", help="second correlation-matrix CSV")
     fid.add_argument("--out", default=".", help="directory for fidelity.json")
     return parser
-
-
-_COMMANDS = {
-    ("layout", None): cmd_layout,
-    ("propagate", None): cmd_propagate,
-    ("correlations", None): cmd_correlations,
-    ("hom", None): cmd_hom,
-    ("tomography", "simulate"): cmd_tomography_simulate,
-    ("tomography", "reconstruct"): cmd_tomography_reconstruct,
-    ("tomography", "report"): cmd_tomography_report,
-}
 
 
 def main(argv=None) -> int:
@@ -313,7 +309,8 @@ def main(argv=None) -> int:
             cfg = load_run_config(
                 args.config, seed=args.seed, steps=args.steps, noise=args.noise, out=args.out
             )
-            artifacts = _COMMANDS[args.command, getattr(args, "mode", None)](cfg)
+            _, stage = _COMMANDS[args.command]
+            artifacts = (stage[args.mode] if isinstance(stage, dict) else stage)(cfg)
             out, digest = cfg.out_dir, cfg.digest
         out.mkdir(parents=True, exist_ok=True)
         for name, content in artifacts.items():
@@ -332,7 +329,14 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError, ArithmeticError, ReconstructionError, np.linalg.LinAlgError) as exc:
+    except (
+        ValueError,
+        IndexError,
+        ArithmeticError,
+        MemoryError,
+        ReconstructionError,
+        np.linalg.LinAlgError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -150,17 +150,15 @@ def layout_from_dict(spec: dict, ctx: str = "layout") -> WaveguideLayout:
 
 
 def coupling_from_dict(spec: Optional[dict], ctx: str = "coupling") -> CouplingModel:
-    if spec is None:
-        return CouplingModel()
-    try:
-        return CouplingModel(
-            c0_per_mm=_number(spec, "c0_per_mm", ctx, default=1.0, minimum=0.0),
-            kappa_per_um=_number(spec, "kappa_per_um", ctx, default=0.5, positive=True),
-            r0_um=_number(spec, "r0_um", ctx, default=10.0, positive=True),
-            beta_per_mm=_number(spec, "beta_per_mm", ctx, default=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{ctx}': {exc}") from exc
+    """CouplingModel from the keys present in ``spec``; an absent key keeps its default."""
+    rules = {
+        "c0_per_mm": {"minimum": 0.0},
+        "kappa_per_um": {"positive": True},
+        "r0_um": {"positive": True},
+        "beta_per_mm": {},
+    }
+    present = {key: rule for key, rule in rules.items() if key in (spec or {})}
+    return CouplingModel(**{key: _number(spec, key, ctx, **rule) for key, rule in present.items()})
 
 
 @dataclass
@@ -241,7 +239,7 @@ def _parse_polarization(spec: Optional[dict], n: int, fallback: CouplingModel):
     )
 
 
-def parse_run_config(raw: dict, out_override: Optional[str] = None) -> RunConfig:
+def parse_run_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     layout = layout_from_dict(_section(raw, "layout", ""))
@@ -263,7 +261,7 @@ def parse_run_config(raw: dict, out_override: Optional[str] = None) -> RunConfig
     steps = _number(raw, "steps", "", default=64, integer=True, minimum=1)
     trace_points = _number(raw, "trace_points", "", default=200, integer=True, minimum=1)
     seed = _number(raw, "seed", "", default=0, integer=True, minimum=0)
-    out_dir = out_override if out_override is not None else raw.get("out_dir", "out")
+    out_dir = raw.get("out_dir", "out")
     if not isinstance(out_dir, (str, Path)):
         raise ConfigError("'out_dir' must be a path string")
 
@@ -303,10 +301,9 @@ def load_run_config(
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    if seed is not None:
-        raw["seed"] = seed
-    if steps is not None:
-        raw["steps"] = steps
+    for key, value in (("seed", seed), ("steps", steps), ("out_dir", out)):
+        if value is not None:
+            raw[key] = value
     if noise is not None and isinstance(raw.get("polarization"), dict):
         raw["polarization"]["photometric_noise"] = noise
-    return parse_run_config(raw, out_override=out)
+    return parse_run_config(raw)

@@ -245,9 +245,10 @@ def read_record_csv(path) -> TomographyRecord:
     """Parse a tomography record CSV whose rows may come in any order.
 
     Raises ReconstructionError naming the file and 1-based line for a
-    malformed row, an unknown polarization state, a port below 1, or a
-    non-finite or negative intensity; and naming the file for a record with no
-    rows or with any (input, state, output, analyzer) intensity missing.
+    malformed row, an unknown polarization state, a port below 1, a
+    non-finite or negative intensity, or an (input, state, output, analyzer)
+    entry an earlier row already gave; and naming the file for a record with
+    no rows or with any intensity missing.
     """
     skip = _leading_lines(path)
 
@@ -279,15 +280,20 @@ def read_record_csv(path) -> TomographyRecord:
     size = 36 * n * n
     keys = (in_port - 1, states.argmax(axis=1), out_port - 1, analyzers.argmax(axis=1))
     if size > rows.size:  # cannot be complete; also keeps a mistyped port from sizing arrays
-        missing = size - np.unique(np.stack(keys), axis=1).shape[1]
+        distinct = np.unique(np.stack(keys), axis=1).shape[1]
     else:
         flat = np.ravel_multi_index(keys, (n, 6, n, 6))
         filled = np.zeros(size, dtype=bool)
         filled[flat] = True
-        missing = size - int(np.count_nonzero(filled))
-    if missing:
+        distinct = int(np.count_nonzero(filled))
+    if distinct < rows.size:  # the first row whose key an earlier row already holds
+        first = np.unique(np.stack(keys), axis=1, return_index=True)[1]
+        repeat = np.ones(rows.size, dtype=bool)
+        repeat[first] = False
+        check(repeat, "repeated record entry")
+    if distinct < size:
         raise ReconstructionError(
-            f"{path}: tomography record incomplete: {missing} of {size} intensities missing"
+            f"{path}: tomography record incomplete: {size - distinct} of {size} intensities missing"
         )
     data = np.empty(size)
     data[flat] = values

@@ -114,19 +114,6 @@ class PoincareEllipsoid:
     degenerate: bool
 
 
-def stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l) -> np.ndarray:
-    """Stokes vector from the six analyzer intensities.
-
-    Array arguments of one shape give the four components stacked on a new
-    leading axis.
-    """
-    intensities = np.asarray([i_h, i_v, i_d, i_a, i_r, i_l], dtype=float)
-    if np.any(intensities < 0):
-        raise ValueError("analyzer intensities must be nonnegative")
-    i_h, i_v, i_d, i_a, i_r, i_l = intensities
-    return np.array([i_h + i_v, i_h - i_v, i_d - i_a, i_r - i_l])
-
-
 def _per_guide(values, n: int, default: float, name: str) -> np.ndarray:
     if values is None:
         return np.full(n, default, dtype=float)
@@ -224,6 +211,18 @@ def simulate_tomography(
 
 _STOKES_INPUTS = np.stack([STOKES_STATES[s] for s in STATE_ORDER])  # (6, 4)
 
+# Analyzer intensities (rows in STATE_ORDER) -> S = (I_H + I_V, I_H - I_V, I_D - I_A, I_R - I_L)
+_ANALYZER_STOKES = np.array(
+    [
+        [1.0, 1.0, 0.0, 0.0],  # H
+        [1.0, -1.0, 0.0, 0.0],  # V
+        [0.0, 0.0, 1.0, 0.0],  # D
+        [0.0, 0.0, -1.0, 0.0],  # A
+        [0.0, 0.0, 0.0, -1.0],  # L
+        [0.0, 0.0, 0.0, 1.0],  # R
+    ]
+)
+
 
 def reconstruct_mueller(record: TomographyRecord) -> Tuple[np.ndarray, np.ndarray]:
     """Least-squares Mueller matrices from a six-state tomography record.
@@ -236,11 +235,8 @@ def reconstruct_mueller(record: TomographyRecord) -> Tuple[np.ndarray, np.ndarra
     ``residuals[i, j]`` of shape (N, N) is that pair's rms equation residual.
     """
     n = record.n_ports
-    intens = np.moveaxis(record.intensities, 2, 0)  # out port, in port, state, analyzer
-    h, v, d, a, l, r = (intens[..., STATE_ORDER.index(s)] for s in "HVDALR")
-    stokes_out = stokes_from_intensities(h, v, d, a, r, l)  # component, out, in, state
     # One least-squares problem with a column per (out, in, component).
-    rhs = stokes_out.transpose(3, 1, 2, 0).reshape(6, 4 * n * n)
+    rhs = (record.intensities @ _ANALYZER_STOKES).transpose(1, 2, 0, 3).reshape(6, -1)
     solution = np.linalg.lstsq(_STOKES_INPUTS, rhs, rcond=None)[0]
     matrices = np.ascontiguousarray(solution.T).reshape(n, n, 4, 4)
     misfit = (_STOKES_INPUTS @ solution - rhs).reshape(6, n, n, 4)

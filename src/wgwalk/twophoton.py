@@ -102,8 +102,8 @@ def visibility(delays, counts, coherence_sigma: float, mode: str = "extrema") ->
 
     A visibility is undefined for a pair without coincidences, and in fit
     mode also where the fitted baseline is not positive or the fit did not
-    converge. Fit mode raises ValueError for fewer than three distinct
-    |delay| values.
+    converge. Fit mode raises ValueError for a ``coherence_sigma`` that is not
+    positive and for fewer than three distinct |delay| values.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or np.shape(delays) != counts.shape[:1]:
@@ -115,6 +115,8 @@ def visibility(delays, counts, coherence_sigma: float, mode: str = "extrema") ->
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(c_max > 0.0, (c_max - np.min(counts, axis=0)) / c_max, np.nan)
     if mode == "fit":
+        if not coherence_sigma > 0:
+            raise ValueError("coherence_sigma must be positive")
         return _fit_visibility(delays, counts, coherence_sigma)
     raise ValueError(f"unknown visibility mode {mode!r}")
 

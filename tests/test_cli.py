@@ -164,6 +164,14 @@ class TestLayoutCommand:
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section", ["layout", "coupling"])
+    def test_block_errors_share_one_form(self, tmp_path, capsys, section):
+        key = {"layout": "semi_major_um", "coupling": "kappa_per_um"}[section]
+        cfg = base_config(tmp_path / "run")
+        cfg[section][key] = -0.5
+        assert main(["layout", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: '{section}.{key}' must be positive\n"
+
     def test_null_neighbor_cutoff_means_no_cutoff(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config(tmp_path / "run", neighbor_cutoff_um=None))
         assert main(["layout", "--config", cfg_path]) == 0
@@ -339,6 +347,13 @@ class TestTomographyCommand:
         pdl = json.loads((tmp_path / "run" / "pdl.json").read_text())
         assert len(pdl["excess_v_loss_by_input_port"]) == 6
 
+    def test_mode_defaults_to_simulate(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, self.pol_config(tmp_path / "run"))
+        assert main(["tomography", "--config", cfg_path]) == 0
+        record_path = tmp_path / "run" / "tomography_record.csv"
+        assert capsys.readouterr().out == f"wrote {record_path}\n"
+        assert [p.name for p in (tmp_path / "run").iterdir()] == [record_path.name]
+
     def test_fan_in_tomography_recovers_the_scalar_chip(self, tmp_path):
         # equal H/V coupling, no imperfections: the H subspace of the
         # reconstructed Mueller array is |U|^2 of the chip, fan-in included
@@ -404,7 +419,7 @@ class TestTomographyCommand:
         "two_letter_state": (lambda f: f[:1] + ["HV"] + f[2:], "unknown polarization state"),
         "two_letter_analyzer": (lambda f: f[:3] + ["HV"] + f[4:], "unknown polarization state"),
         "port_zero": (lambda f: ["0"] + f[1:], "port index out of range"),
-        "duplicate_row": (lambda f: ["1", "H", "1", "H", f[4]], "incomplete"),
+        "duplicate_row": (lambda f: ["1", "H", "1", "H", f[4]], "repeated record entry"),
     }
     def run_with_bad_row(self, tmp_path, edit):
         cfg_path, record_path, lines = self.simulated_record(tmp_path)
@@ -419,11 +434,26 @@ class TestTomographyCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run" / "mueller.json").exists()
 
-    @pytest.mark.parametrize("case", sorted(set(BAD_ROWS) - {"duplicate_row"}))
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
     def test_bad_record_row_error_names_file_and_line(self, tmp_path, capsys, case):
         edit, _ = self.BAD_ROWS[case]
         assert self.run_with_bad_row(tmp_path, edit) == 3
         assert "tomography_record.csv:11:" in capsys.readouterr().err
+
+    def test_repeated_entry_on_a_complete_record_is_reconstruction_failure(self, tmp_path, capsys):
+        # the repeat would otherwise overwrite the noiseless 1,H,1,H intensity
+        cfg_path = _shipped_config(tmp_path, "ellipse_walk")
+        out = tmp_path / "run"
+        assert main(["tomography", "--config", cfg_path, "--out", str(out)]) == 0
+        record_path = out / "tomography_record.csv"
+        lines = record_path.read_text().splitlines() + ["1,H,1,H,123.0"]
+        record_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        command = ["tomography", "--config", cfg_path, "--out", str(out), "--mode", "reconstruct"]
+        assert main(command) == 3
+        err = capsys.readouterr().err
+        assert f"tomography_record.csv:{len(lines)}: repeated record entry: '1,H,1,H,123.0'" in err
+        assert not (out / "mueller.json").exists()
 
     def test_mistyped_port_is_incomplete_record(self, tmp_path, capsys):
         # a port far beyond the record must not size the array it is read into
@@ -605,8 +635,9 @@ class TestHeadersAndMeta:
         cfg_b = write_config(tmp_path, base_config(tmp_path / "b"), "b.json")
         assert main(["layout", "--config", cfg_a]) == 0
         assert main(["layout", "--config", cfg_b]) == 0
+        assert main(["layout", "--config", cfg_a, "--out", str(tmp_path / "c")]) == 0
         line = lambda p: (p / "distances.csv").read_text().splitlines()[1]
-        assert line(tmp_path / "a") == line(tmp_path / "b")
+        assert line(tmp_path / "a") == line(tmp_path / "b") == line(tmp_path / "c")
 
     def test_json_artifacts_refuse_non_finite_numbers(self, tmp_path):
         with pytest.raises(ValueError):
@@ -793,4 +824,14 @@ def test_overflowing_coupling_law_is_numerical_failure(tmp_path, capsys, name, c
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "coupling law" in err and "overflows" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["layout", "propagate"])
+def test_impossible_allocation_is_numerical_failure(tmp_path, capsys, command):
+    # numpy refuses arrays of 10^12 elements without allocating any memory
+    out = tmp_path / "run"
+    argv = ["--config", str(CONFIGS / "fanin_walk.json"), "--out", str(out)]
+    assert main([command] + argv + ["--steps", str(10**12)]) == 3
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
     assert not out.exists()

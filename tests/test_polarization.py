@@ -4,7 +4,6 @@ import pytest
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import elliptical_layout, fan_in_layout, linear_layout
 from wgwalk.polarization import (
-    JONES_STATES,
     STATE_ORDER,
     STOKES_STATES,
     JonesTransfer,
@@ -16,7 +15,6 @@ from wgwalk.polarization import (
     poincare_ellipsoid,
     reconstruct_mueller,
     simulate_tomography,
-    stokes_from_intensities,
 )
 from wgwalk.propagation import propagate_z_dependent, unitary
 from wgwalk.twophoton import gamma_indistinguishable
@@ -40,37 +38,6 @@ def scalar_chip(z=1.3):
     chip = build_polarized_chip(paper_ellipse(), model, model, z=z)
     u = unitary(build_coupling_matrix(paper_ellipse(), model), z)
     return chip, u
-
-
-class TestStokesFromIntensities:
-    def test_horizontal(self):
-        np.testing.assert_array_equal(
-            stokes_from_intensities(1, 0, 0.5, 0.5, 0.5, 0.5), [1, 1, 0, 0]
-        )
-
-    def test_unpolarized(self):
-        np.testing.assert_array_equal(
-            stokes_from_intensities(0.5, 0.5, 0.5, 0.5, 0.5, 0.5), [1, 0, 0, 0]
-        )
-
-    def test_diagonal(self):
-        np.testing.assert_array_equal(
-            stokes_from_intensities(0.5, 0.5, 1, 0, 0.5, 0.5), [1, 0, 1, 0]
-        )
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            stokes_from_intensities(1, -0.1, 0.5, 0.5, 0.5, 0.5)
-
-    def test_consistent_with_canonical_states(self):
-        # projecting a canonical Jones state on the six analyzers and feeding
-        # the intensities back must reproduce its canonical Stokes vector
-        analyzers = [JONES_STATES[s] for s in ("H", "V", "D", "A", "R", "L")]
-        for name, jones in JONES_STATES.items():
-            intensities = [abs(np.vdot(a, jones)) ** 2 for a in analyzers]
-            np.testing.assert_allclose(
-                stokes_from_intensities(*intensities), STOKES_STATES[name], atol=1e-15
-            )
 
 
 class TestJonesToMueller:
@@ -128,6 +95,14 @@ class TestJonesTransfer:
         chip = JonesTransfer(m)
         np.testing.assert_array_equal(port_block(chip, 1, 0), m[2:4, 0:2])
         assert chip.n_ports == 2
+
+
+class TestTomographyRecord:
+    def test_negative_rejected(self):
+        intensities = np.full((1, 6, 1, 6), 0.5)
+        intensities[0, 0, 0, 1] = -0.1
+        with pytest.raises(ValueError, match="nonnegative"):
+            TomographyRecord(intensities)
 
 
 class TestBuildPolarizedChip:
@@ -256,6 +231,15 @@ class TestReconstructMueller:
                 expected = np.eye(4) if i == j else np.zeros((4, 4))
                 np.testing.assert_allclose(matrices[i, j], expected, atol=1e-8)
         np.testing.assert_allclose(residuals, 0.0, atol=1e-10)
+
+    def test_canonical_states_reproduce_their_stokes_vectors(self):
+        # projecting each canonical Jones state on the six analyzers and
+        # reconstructing must map its canonical Stokes vector to itself
+        matrices, _ = reconstruct_mueller(simulate_tomography(identity_chip(1)))
+        for name in STATE_ORDER:
+            np.testing.assert_allclose(
+                matrices[0, 0] @ STOKES_STATES[name], STOKES_STATES[name], atol=1e-15
+            )
 
     def test_random_chip_round_trip_matches_jones_derived(self):
         rng = np.random.default_rng(19)

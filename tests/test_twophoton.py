@@ -234,6 +234,15 @@ class TestVisibility:
         (value,) = visibility(delays, counts[:, None], 1.0, mode="fit")
         assert value == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_fit_rejects_a_starting_width_that_is_not_positive(self, sigma):
+        delays = np.linspace(-4, 4, 81)
+        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 0, 1]
+        with pytest.raises(ValueError, match="coherence_sigma"):
+            visibility(delays, counts[:, None], sigma, mode="fit")
+        # the extrema never read the width
+        assert visibility(delays, counts[:, None], sigma)[0] == pytest.approx(1.0, abs=1e-9)
+
     def test_no_coincidences_is_undefined(self):
         assert np.isnan(visibility(np.array([0.0]), np.zeros((1, 1)), 1.0)).all()
         delays = np.array([0.0, 1.0, 2.0])
