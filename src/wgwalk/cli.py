@@ -312,6 +312,11 @@ def main(argv=None) -> int:
             _, stage = _COMMANDS[args.command]
             artifacts = (stage[args.mode] if isinstance(stage, dict) else stage)(cfg)
             out, digest = cfg.out_dir, cfg.digest
+        # Every writer checks its content before it opens its file; the
+        # artifacts after the first are checked here as well, so that a
+        # command that fails writes nothing.
+        for name, content in list(artifacts.items())[1:]:
+            io.check_finite(name, content)
         out.mkdir(parents=True, exist_ok=True)
         for name, content in artifacts.items():
             path = out / name

@@ -62,12 +62,13 @@ class WaveguideLayout:
             bad = zs[outside][0] if zs.ndim else z
             raise ValueError(f"z = {bad} mm outside profile domain [{z0}, {z1}] mm")
         p0, p1, stage1, stage2 = self.fan_in
-        first = np.asarray(z, dtype=float)[..., None, None] <= stage1
-        return np.where(
-            first,
-            _raised_sine(p0, p1, stage1, z),
-            _raised_sine(p1, self.positions, stage2, np.subtract(z, stage1)),
-        )
+        zs = np.asarray(z, dtype=float)
+        first = zs <= stage1
+        # each stage's bend is evaluated on its own samples only
+        out = np.empty(zs.shape + self.positions.shape)
+        out[first] = _raised_sine(p0, p1, stage1, zs[first])
+        out[~first] = _raised_sine(p1, self.positions, stage2, zs[~first] - stage1)
+        return out
 
 
 def linear_layout(n: int, pitch: float) -> WaveguideLayout:

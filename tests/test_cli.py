@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgwalk import io
+from wgwalk import cli, io
 from wgwalk.cli import main
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.polarization import extract_h_subspace
@@ -642,6 +642,30 @@ class TestHeadersAndMeta:
     def test_json_artifacts_refuse_non_finite_numbers(self, tmp_path):
         with pytest.raises(ValueError):
             io.write_json(tmp_path / "bad.json", {"value": float("nan")})
+
+    LONG_NAN = np.append(np.zeros(5000), math.nan)  # above the JSON streaming threshold
+    NEG_INF_TABLE = (["x"], np.full((1, 1), -math.inf))
+
+    @pytest.mark.parametrize(
+        "artifacts, bad",
+        [
+            ({"first.csv": np.eye(2), "second.json": {"value": math.nan}}, "second.json"),
+            ({"first.csv": np.array([[1.0, math.inf]]), "second.json": {"v": 1.0}}, "first.csv"),
+            ({"first.json": {"a": [LONG_NAN]}, "second.csv": np.eye(2)}, "first.json"),
+            ({"first.json": {"a": 1.0}, "second.csv": NEG_INF_TABLE}, "second.csv"),
+            ({"first.json": {"a": 1.0}, "second.json": {"b": [LONG_NAN]}}, "second.json"),
+        ],
+        ids=["json-after-csv", "csv-first", "json-first", "table-after-json", "array-after-json"],
+    )
+    def test_non_finite_artifact_writes_no_file(
+        self, tmp_path, capsys, monkeypatch, artifacts, bad
+    ):
+        stage = ("a stage returning fixed artifacts", lambda cfg: artifacts)
+        monkeypatch.setitem(cli._COMMANDS, "layout", stage)
+        cfg_path = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main(["layout", "--config", cfg_path]) == 3
+        assert bad in capsys.readouterr().err
+        assert not any(path.is_file() for path in (tmp_path / "run").rglob("*"))
 
 
 class TestInputPortValidation:

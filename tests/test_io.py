@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,79 @@ class TestWriteJson:
             json.dumps(plain(payload), allow_nan=False)
         with pytest.raises(ValueError):
             io.write_json(tmp_path_factory.getbasetemp() / "bad.json", payload)
+
+
+class TestStreamedArrays:
+    """Arrays above the streaming threshold are written a block of rows at a time."""
+
+    @pytest.mark.parametrize(
+        "shape", [(4097,), (5000, 3), (2, 3000), (3, 2, 1500), (1, 4097), (300, 7, 2)]
+    )
+    def test_bytes_equal_stdlib_dumps(self, tmp_path, shape):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        values.flat[::7] = -0.0
+        payload = {"deep": [{"a": values, "b": 1.5}, values[..., ::-1]], "top": values}
+        io.write_json(tmp_path / "doc.json", payload)
+        document = {"meta": {"tool_version": io.TOOL_VERSION}}
+        document.update(plain(payload))
+        expected = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert (tmp_path / "doc.json").read_text() == expected
+
+    def test_memory_does_not_grow_with_the_array(self, tmp_path):
+        # a fan-in profile of 4000 steps for 48 cores; writing the document
+        # as one string peaked at 69 MB here
+        profile = np.random.default_rng(1).standard_normal((4001, 48, 2))
+        payload = {"profile": {"positions_um": profile, "z_mm": profile[:, 0, 0].copy()}}
+        tracemalloc.start()
+        try:
+            io.write_json(tmp_path / "layout.json", payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        written = json.loads((tmp_path / "layout.json").read_text())
+        assert written["profile"]["positions_um"] == profile.tolist()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_in_last_row_writes_no_file(self, tmp_path, bad):
+        profile = np.zeros((4001, 48, 2))
+        profile[-1, -1, -1] = bad
+        with pytest.raises(ValueError):
+            io.write_json(tmp_path / "layout.json", {"positions_um": profile})
+        assert not (tmp_path / "layout.json").exists()
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"a": [1, {"b": np.array([0.0, np.nan])}]},
+            {"a": float("inf")},
+            np.full((3, 3), -np.inf),
+            (["x", "y"], np.array([[1.0, np.nan]])),
+            np.pad(np.zeros(5000), (0, 1), constant_values=np.nan),
+            TomographyRecord(np.full((1, 6, 1, 6), np.nan)),
+        ],
+    )
+    def test_non_finite_anywhere_names_the_artifact(self, content):
+        with pytest.raises(ValueError, match="non-finite value .* in out.csv"):
+            io.check_finite("out.csv", content)
+
+    def test_finite_content_passes(self):
+        io.check_finite("a.json", {"s": "nan", "n": None, "k": [1, True, 2.5, np.ones((70, 70))]})
+
+    @pytest.mark.parametrize("writer", ["matrix", "table", "record"])
+    def test_csv_writers_refuse_non_finite_and_write_nothing(self, tmp_path, writer):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError):
+            if writer == "matrix":
+                io.write_matrix_csv(path, np.array([[1.0, np.nan]]))
+            elif writer == "table":
+                io.write_table_csv(path, ["a", "b"], np.array([[1.0, np.inf]]))
+            else:
+                io.write_record_csv(path, TomographyRecord(np.full((1, 6, 1, 6), np.nan)))
+        assert not path.exists()
 
 
 class TestCsvWriters:
