@@ -195,6 +195,13 @@ def _load_record(cfg: RunConfig):
             f"tomography record {path} covers {record.n_ports} ports, "
             f"but the layout has {cfg.layout.n}"
         )
+    digest = io.csv_digest(path)
+    if digest and cfg.digest and digest != cfg.digest:
+        raise ReconstructionError(
+            f"tomography record {path} was simulated from config sha256 {digest}, but this "
+            f"run's config has sha256 {cfg.digest}; --seed, --steps and --noise overrides "
+            "count toward it, so give 'simulate' and this mode the same ones"
+        )
     return record
 
 

@@ -7,11 +7,15 @@ float formatting, no timestamps. Ports are 1-based in all emitted files.
 
 Every writer checks its content for non-finite numbers before it opens its
 file, and writes nothing when it finds one. A JSON payload is validated in
-full and then streamed: everything but its large arrays is formatted first,
-and each large array is written a block of leading-index rows at a time, so
-memory no longer grows with ``steps``. At 65,536 steps the fan-in
-``layout`` command peaks at 46 MB resident, where writing the document as
-one string took 204 MB.
+full and then streamed: everything but its large arrays is formatted first
+and held once, as the pieces of its text, and each large array is written a
+block of leading-index rows at a time, so memory no longer grows with
+``steps``. At 65,536 steps the fan-in ``layout`` command peaks at 46 MB
+resident, where writing the document as one string took 204 MB. The 2.9 MB
+``ellipsoids.json`` of a 48-port chip traces 3.4 MB to write, where joining
+its text at each nesting level traced 9.0 MB, and reading that chip's
+82,944-row tomography record traces 4.3 MB, where 8.5 MB went to
+per-state masks and separate key arrays.
 """
 
 from __future__ import annotations
@@ -50,6 +54,18 @@ def _write_csv(
         if header is not None:
             handle.write(header + "\n")
         handle.writelines(blocks)
+
+
+def csv_digest(path) -> Optional[str]:
+    """The config sha256 that a CSV artifact's comment lines name, or None."""
+    prefix = "# config sha256 "
+    with open(path) as handle:
+        for line in handle:
+            if not line.startswith("#"):
+                break
+            if line.startswith(prefix):
+                return line[len(prefix) :].strip()
+    return None
 
 
 def _float_lines(rows: np.ndarray) -> Iterator[str]:
@@ -107,13 +123,19 @@ def write_table_csv(
 
 
 _JSON_INDENT = "  "
+_encode = json.encoder.encode_basestring_ascii
 # A JSON array of more than _BLOCK elements is checked in place, then written
 # about _BLOCK elements (whole leading-index rows) at a time, so that the text
 # of the whole array is never held.
 _BLOCK = 4096
-# Stands in the document text for an array that is written by rows. Strings
-# are written with control characters escaped, so it never occurs in them.
-_HOLE = "\x00"
+# A list or dict of more than _FEW_ITEMS items whose text runs past
+# _TEXT_BLOCK characters is kept as the pieces of that text and never joined,
+# so that a large document's text is held once. A container of few items is
+# joined without summing its text, which would cost as much as the join for
+# the thousands of small dicts of a 48-port report; no payload here nests
+# such containers deep enough for that join to copy much.
+_FEW_ITEMS = 8
+_TEXT_BLOCK = 1 << 16
 
 
 @functools.lru_cache(maxsize=64)
@@ -170,14 +192,16 @@ def check_finite(name: str, content) -> None:
         raise ValueError(f"non-finite value {bad!r} in {name}; no artifact written")
 
 
-def _json_text(value, level: int, streamed: list) -> str:
+def _json_text(value, level: int):
     """JSON text of ``value`` as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
     writes it at nesting depth ``level``, with floating-point ndarrays laid out
-    like their ``tolist()``. Dict keys must be strings. An array of more than
-    ``_BLOCK`` elements is only checked: it is appended to ``streamed`` with
-    its depth, and ``_HOLE`` stands for it in the text."""
+    like their ``tolist()``. Dict keys must be strings.
+
+    Returns a string, or for a large value a list of pieces: strings, and an
+    (array, depth) pair for each array of more than ``_BLOCK`` elements, which
+    is only checked here and written by ``_write_rows``."""
     if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
+        return _encode(value)
     if value is None:
         return "null"
     if value is True:
@@ -197,31 +221,48 @@ def _json_text(value, level: int, streamed: list) -> str:
             bad = _first_non_finite(value)
             if bad is not None:
                 raise _non_finite(bad)
-            streamed.append((value, level))
-            return _HOLE
+            return [(value, level)]
         flat = value.ravel().tolist()
         text = _array_template(value.shape, level) % tuple(map(float.__repr__, flat))
         if "n" in text:  # only "nan", "inf" and "-inf" among float reprs hold an "n"
             raise _non_finite(next(v for v in flat if not math.isfinite(v)))
         return text
-    pad = "\n" + _JSON_INDENT * (level + 1)
-    close = "\n" + _JSON_INDENT * level
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_json_text(item, level + 1, streamed) for item in value]
-        return "[" + pad + ("," + pad).join(items) + close + "]"
+        return _enclose("[]", None, [_json_text(item, level + 1) for item in value], level)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            json.encoder.encode_basestring_ascii(key)
-            + ": "
-            + _json_text(value[key], level + 1, streamed)
-            for key in sorted(value)
-        ]
-        return "{" + pad + ("," + pad).join(items) + close + "}"
+        keys = sorted(value)
+        return _enclose("{}", keys, [_json_text(value[key], level + 1) for key in keys], level)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _enclose(brackets: str, keys: Optional[list], items: list, level: int):
+    """The ``_json_text`` of a list's ``items``, or of a dict's ``items``
+    under their ``keys``, between ``brackets`` at depth ``level``: one
+    string, or pieces where an item is pieces or where more than
+    ``_FEW_ITEMS`` items run past ``_TEXT_BLOCK`` characters."""
+    pad = "\n" + _JSON_INDENT * (level + 1)
+    close = "\n" + _JSON_INDENT * level + brackets[1]
+    if len(items) <= _FEW_ITEMS or sum(map(len, items)) <= _TEXT_BLOCK:
+        try:
+            if keys is not None:
+                items = [_encode(key) + ": " + item for key, item in zip(keys, items)]
+            return brackets[0] + pad + ("," + pad).join(items) + close
+        except TypeError:  # an item is pieces, which str + and join refuse
+            pass
+    pieces = []
+    for index, item in enumerate(items):
+        label = _encode(keys[index]) + ": " if keys else ""
+        pieces.append(("," if index else brackets[0]) + pad + label)
+        if isinstance(item, list):
+            pieces += item
+        else:
+            pieces.append(item)
+    pieces.append(close)
+    return pieces
 
 
 def _write_rows(handle, array: np.ndarray, level: int) -> None:
@@ -241,23 +282,24 @@ def write_json(path, payload: dict, digest: Optional[str] = None) -> None:
     ``json.dumps(document, indent=2, sort_keys=True, allow_nan=False)`` would
     write it with every ndarray replaced by its ``tolist()``. The whole
     document is checked before the file is opened: a non-finite number
-    raises ValueError naming the file and writes nothing. Large arrays are then written a
-    block of rows at a time, so memory does not grow with their size."""
+    raises ValueError naming the file and writes nothing. The text is then
+    written piece by piece, and large arrays a block of rows at a time, so
+    that no text is held twice and memory does not grow with array size."""
     meta = {"tool_version": TOOL_VERSION}
     if digest is not None:
         meta["config_sha256"] = digest
     document = {"meta": meta}
     document.update(payload)
-    streamed = []
     try:
-        pieces = _json_text(document, 0, streamed).split(_HOLE)
+        text = _json_text(document, 0)
     except ValueError as exc:
         raise ValueError(f"{Path(path).name}: {exc}") from None
     with open(path, "w") as handle:
-        handle.write(pieces[0])
-        for (array, level), piece in zip(streamed, pieces[1:]):
-            _write_rows(handle, array, level)
-            handle.write(piece)
+        for piece in [text] if isinstance(text, str) else text:
+            if isinstance(piece, str):
+                handle.write(piece)
+            else:
+                _write_rows(handle, *piece)
         handle.write("\n")
 
 
@@ -295,7 +337,14 @@ _RECORD_DTYPE = np.dtype(
         ("intensity", np.float64),
     ]
 )
-_STATES = np.array(STATE_ORDER)
+
+
+def _state_index(field: np.ndarray) -> np.ndarray:
+    """Position in STATE_ORDER of each state in ``field``; len(STATE_ORDER) where unknown."""
+    index = np.full(field.shape, len(STATE_ORDER), dtype=np.uint8)
+    for position, state in enumerate(STATE_ORDER):
+        index[field == state] = position
+    return index
 
 
 def _parse_record_rows(source, skiprows: int = 0) -> np.ndarray:
@@ -364,26 +413,30 @@ def read_record_csv(path) -> TomographyRecord:
         if bad.any():
             raise row_error(int(np.argmax(bad)), what)
 
-    states, analyzers = (rows[name][:, None] == _STATES for name in ("state", "analyzer"))
-    check(~(states.any(axis=1) & analyzers.any(axis=1)), "unknown polarization state")
+    state, analyzer = _state_index(rows["state"]), _state_index(rows["analyzer"])
+    check(np.maximum(state, analyzer) == len(STATE_ORDER), "unknown polarization state")
     in_port, out_port = rows["in_port"], rows["out_port"]
-    check(np.minimum(in_port, out_port) < 1, "port index out of range")
+    check((in_port < 1) | (out_port < 1), "port index out of range")
     values = rows["intensity"]
     check(~np.isfinite(values), "non-finite intensity")
     check(values < 0, "negative intensity")
 
     n = int(max(in_port.max(), out_port.max()))
     size = 36 * n * n
-    keys = (in_port - 1, states.argmax(axis=1), out_port - 1, analyzers.argmax(axis=1))
     if size > rows.size:  # cannot be complete; also keeps a mistyped port from sizing arrays
-        distinct = np.unique(np.stack(keys), axis=1).shape[1]
-    else:
-        flat = np.ravel_multi_index(keys, (n, 6, n, 6))
+        keys = np.stack((in_port, state, out_port, analyzer))
+        distinct = np.unique(keys, axis=1).shape[1]
+    else:  # each row's C-order index into the (n, 6, n, 6) intensities, built in place of in_port
+        keys = in_port
+        for scale, term in ((6, state), (n, out_port), (6, analyzer)):
+            keys *= scale
+            keys += term
+        keys -= 6 * (6 * n + 1)  # ports count from 1
         filled = np.zeros(size, dtype=bool)
-        filled[flat] = True
+        filled[keys] = True
         distinct = int(np.count_nonzero(filled))
     if distinct < rows.size:  # the first row whose key an earlier row already holds
-        first = np.unique(np.stack(keys), axis=1, return_index=True)[1]
+        first = np.unique(keys, axis=-1, return_index=True)[1]
         repeat = np.ones(rows.size, dtype=bool)
         repeat[first] = False
         check(repeat, "repeated record entry")
@@ -392,5 +445,5 @@ def read_record_csv(path) -> TomographyRecord:
             f"{path}: tomography record incomplete: {size - distinct} of {size} intensities missing"
         )
     data = np.empty(size)
-    data[flat] = values
+    data[keys] = values
     return TomographyRecord(data.reshape(n, 6, n, 6))

@@ -402,6 +402,33 @@ class TestTomographyCommand:
         assert "covers 6 ports" in err and "layout has 8" in err
         assert [p.name for p in (tmp_path / "run").iterdir()] == ["tomography_record.csv"]
 
+    @pytest.mark.parametrize(
+        "mode, artifact", [("reconstruct", "mueller.json"), ("report", "ellipsoids.json")]
+    )
+    @pytest.mark.parametrize("override", [{"seed": 8}, {"noise": 0.02}])
+    def test_record_of_another_config_is_reconstruction_failure(
+        self, tmp_path, capsys, mode, artifact, override
+    ):
+        cfg_path = write_config(tmp_path, self.pol_config(tmp_path / "run", noise=0.01))
+        assert main(["tomography", "--config", cfg_path, "--mode", "simulate"]) == 0
+        record_path = tmp_path / "run" / "tomography_record.csv"
+        simulated = io.csv_digest(record_path)
+        capsys.readouterr()
+        ((flag, value),) = override.items()
+        command = ["tomography", "--config", cfg_path, "--mode", mode, f"--{flag}", str(value)]
+        assert main(command) == 3
+        err = capsys.readouterr().err
+        overridden = cli.load_run_config(cfg_path, **override)
+        assert simulated in err and overridden.digest in err and overridden.digest != simulated
+        assert "--seed" in err and "--noise" in err
+        assert not (tmp_path / "run" / artifact).exists()
+        # a record without a digest line is taken as it is
+        lines = record_path.read_text().splitlines(keepends=True)
+        record_path.write_text("".join(line for line in lines if "sha256" not in line))
+        assert io.csv_digest(record_path) is None
+        assert main(command) == 0
+        assert (tmp_path / "run" / artifact).exists()
+
     def test_record_rows_accepted_in_any_order(self, tmp_path):
         _, record_path, lines = self.simulated_record(tmp_path)
         expected = io.read_record_csv(record_path).intensities

@@ -118,6 +118,51 @@ class TestStreamedArrays:
         assert not (tmp_path / "layout.json").exists()
 
 
+def ellipsoid_payload(n):
+    """The shape of ``report``'s ellipsoids.json for an n-port chip."""
+    rng = np.random.default_rng(3)
+
+    def pair(out_port, in_port):
+        return {
+            "output_port": out_port + 1,
+            "input_port": in_port + 1,
+            "center": rng.standard_normal(3),
+            "semi_axes": rng.random(3),
+            "orientation": rng.standard_normal((3, 3)),
+            "markers": {state: rng.standard_normal(3) for state in "HDR"},
+            "average_power": float(rng.random()),
+            "degenerate": bool(rng.random() < 0.1),
+        }
+
+    return {"ellipsoids": [[pair(o, i) for i in range(n)] for o in range(n)]}
+
+
+class TestManySmallArrays:
+    """A document of many small containers, which no array streaming covers."""
+
+    def test_48_port_ellipsoids_hold_their_text_once(self, tmp_path):
+        # the 2.8 MB text; joining it at each nesting level traced 8.7 MB here
+        payload = ellipsoid_payload(48)
+        tracemalloc.start()
+        try:
+            io.write_json(tmp_path / "ellipsoids.json", payload, digest="ef" * 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
+        document = {"meta": {"config_sha256": "ef" * 32, "tool_version": io.TOOL_VERSION}}
+        document.update(plain(payload))
+        expected = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert (tmp_path / "ellipsoids.json").read_text() == expected
+
+    def test_non_finite_in_last_pair_writes_no_file(self, tmp_path):
+        payload = ellipsoid_payload(48)
+        payload["ellipsoids"][-1][-1]["markers"]["R"][-1] = np.nan
+        with pytest.raises(ValueError, match="ellipsoids.json"):
+            io.write_json(tmp_path / "ellipsoids.json", payload)
+        assert not (tmp_path / "ellipsoids.json").exists()
+
+
 class TestCheckFinite:
     @pytest.mark.parametrize(
         "content",
@@ -170,3 +215,18 @@ class TestCsvWriters:
         assert lines[3 + 18].startswith("1,V,1,H,") and lines[-1].startswith("3,R,3,R,")
         back = io.read_record_csv(tmp_path / "r.csv")
         np.testing.assert_array_equal(back.intensities, record.intensities)
+
+    def test_48_port_record_reads_in_bounded_memory(self, tmp_path):
+        # 82,944 rows, which np.loadtxt alone holds in 3.9 MB; validating
+        # them with per-state masks and separate key arrays traced 8.5 MB here
+        record = TomographyRecord(np.random.default_rng(13).random((48, 6, 48, 6)))
+        io.write_record_csv(tmp_path / "r.csv", record, digest="cd" * 32)
+        tracemalloc.start()
+        try:
+            back = io.read_record_csv(tmp_path / "r.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_000_000
+        np.testing.assert_array_equal(back.intensities, record.intensities)
+        assert io.csv_digest(tmp_path / "r.csv") == "cd" * 32

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -339,6 +340,47 @@ class TestBatchedVisibility:
         monkeypatch.setattr(twophoton, "_FIT_MAX_ITER", 1)
         (value,) = visibility(delays, counts[:, None], 1.0, mode="fit")
         assert np.isnan(value)
+
+
+def _scan_of_48_ports():
+    """Delays and (81, 1176) upper-triangle counts of a random 48-port chip,
+    with a flat, an all-zero and a non-converging pair among them."""
+    delays = np.linspace(-4, 4, 81)
+    coincidences = hom_scan(random_unitary(np.random.default_rng(97), 48), 5, 30, delays, 1.0)
+    ks, ls = np.triu_indices(48)
+    counts = coincidences[:, ks, ls]
+    counts[:, 3] = 0.25  # flat: visibility 0
+    counts[:, 600] = 0.0  # no coincidences: undefined
+    # alternating 1.0, 1.5: needs more than _FIT_MAX_ITER steps, so undefined
+    counts[:, 1175] = 1.0 + 0.5 * (np.arange(81) % 2)
+    return delays, counts
+
+
+class TestChunkedFit:
+    def test_chunks_give_the_bits_of_column_slices(self, monkeypatch):
+        delays, counts = _scan_of_48_ports()
+        whole = twophoton._fit_visibility(delays, counts, 1.0)
+        assert whole[3] == 0.0 and np.isnan(whole[600]) and np.isnan(whole[1175])
+        assert np.count_nonzero(np.isnan(whole)) == 2
+        edges = [0, 1, 300, 777, 1100, 1176]
+        slices = np.concatenate(
+            [twophoton._fit_visibility(delays, counts[:, a:b], 1.0) for a, b in zip(edges, edges[1:])]
+        )
+        assert np.array_equal(whole, slices, equal_nan=True)
+        monkeypatch.setattr(twophoton, "_FIT_CHUNK", 100)
+        chunked = twophoton._fit_visibility(delays, counts, 1.0)
+        assert np.array_equal(whole, chunked, equal_nan=True)
+
+    def test_memory_of_a_48_port_fit_is_bounded(self):
+        # fitting all 1,176 pairs in one batch traced 15.7 MB here, in chunks 2.3 MB
+        delays, counts = _scan_of_48_ports()
+        tracemalloc.start()
+        try:
+            twophoton._fit_visibility(delays, counts, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
 
 
 def _similarity_by_loops(a, b):
