@@ -143,13 +143,11 @@ def cmd_hom(cfg: RunConfig) -> Artifacts:
     _, _, total = _chip_propagators(cfg)
     i, j = _input_pair(cfg)
     delays, sigma = cfg.hom.delays, cfg.hom.coherence_sigma
-    scan = hom_scan(total, i, j, delays, sigma)
-
     ks, ls = np.triu_indices(cfg.layout.n)
     pairs = list(zip(ks.tolist(), ls.tolist()))
     columns = ["delay"] + [f"C_{k + 1}_{l + 1}" for k, l in pairs]
-    counts = scan[:, ks, ls]
-    rows = np.column_stack([delays, counts])
+    rows = np.column_stack([delays, hom_scan(total, i, j, delays, sigma)])
+    counts = rows[:, 1:]  # a view: the (D, P) scan is held once, in the table
 
     values = visibility(delays, counts, sigma, mode=cfg.hom.visibility_mode)
     summary = [

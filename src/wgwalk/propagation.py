@@ -21,9 +21,15 @@ from .geometry import WaveguideLayout
 # Largest |C - C^H| entry accepted as Hermitian.
 HERMITICITY_TOL = 1e-12
 
-# Segments whose generators are sampled and exponentiated together by
-# z_ordered_product; bounds its temporaries at this many cross-sections.
-SEGMENTS_PER_BATCH = 32
+# Segments whose generators z_ordered_product samples and exponentiates
+# together. A batch holds about BATCH_ELEMENTS matrix elements (32 segments of
+# 24 x 24), so that its temporaries, a few copies of the stack, do not grow
+# with the matrix size n; but at least MIN_BATCH_SEGMENTS segments, so that
+# large generators (48 x 48 and up) do not pay the fixed cost of a batch per
+# segment or two. The first batch holds MIN_BATCH_SEGMENTS, as n is read from
+# its shape.
+BATCH_ELEMENTS = 18_432
+MIN_BATCH_SEGMENTS = 8
 
 # Taylor kernel: each dz H is scaled by 2**-s until its 1-norm is at most
 # _TAYLOR_THETA, where the first omitted term, ||X||**14 / 14!, is at most
@@ -124,23 +130,33 @@ def z_ordered_product(
     exp(i dz H(z_k)) with H sampled at its midpoint z_k, and the product is
     taken in z order (later segments on the left). It converges to the
     z-ordered exponential as steps grows. ``generator`` maps an array of z to
-    the stack of Hermitian matrices there (N x N scalar couplings or 2N x 2N
-    Jones generators alike); it is called once per batch of
-    ``SEGMENTS_PER_BATCH`` midpoints, whose segment exponentials come from
-    one scaled Taylor evaluation. A non-finite or non-Hermitian generator
-    raises ValueError.
+    the stack of n x n Hermitian matrices there (N x N scalar couplings or
+    2N x 2N Jones generators alike); it is called once per batch of
+    midpoints, whose segment exponentials come from one scaled Taylor
+    evaluation. The first batch holds ``MIN_BATCH_SEGMENTS`` segments and
+    each later one ``max(MIN_BATCH_SEGMENTS, BATCH_ELEMENTS // n**2)``, so
+    a batch holds about BATCH_ELEMENTS matrix elements up to n = 48 and
+    8 n**2 above, whatever ``steps``. Each segment is scaled on its own, so
+    the result does not depend on the batching. A non-finite or non-Hermitian
+    generator raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if z_end < z_start:
         raise ValueError("z_end must not precede z_start")
     dz = (z_end - z_start) / steps
+    # All midpoints at once, 8 bytes a segment: a step count too large for
+    # this array fails here at once, not after days of products.
     midpoints = z_start + (np.arange(steps) + 0.5) * dz
     u = None
-    for first in range(0, steps, SEGMENTS_PER_BATCH):
-        segments = _exp_i_taylor(generator(midpoints[first : first + SEGMENTS_PER_BATCH]), dz)
+    first, size = 0, MIN_BATCH_SEGMENTS
+    while first < steps:
+        segments = _exp_i_taylor(generator(midpoints[first : first + size]), dz)
+        first += size
         if u is None:
-            u = np.eye(segments.shape[-1], dtype=complex)
+            n = segments.shape[-1]
+            u = np.eye(n, dtype=complex)
+            size = max(MIN_BATCH_SEGMENTS, BATCH_ELEMENTS // n**2)
         for segment in segments:
             u = segment @ u
     return u

@@ -64,16 +64,18 @@ def hom_scan(
     delays: Sequence[float],
     coherence_sigma: float,
 ) -> np.ndarray:
-    """Coincidence matrices as a function of relative input delay.
+    """Coincidence scans of every unordered output pair against input delay.
 
-    ``delays`` and ``coherence_sigma`` share the same (arbitrary) time units;
-    entry [d, k, l] of the (D, N, N) result is the coincidence probability of
-    output pair (k, l) at delay ``delays[d]``. Partial distinguishability
-    enters through a single Gaussian mode overlap
-    gamma(dt) = exp(-dt^2 / (2 sigma^2)); each delay point is the convex
-    combination gamma * Gamma_indistinguishable + (1 - gamma) *
-    Gamma_distinguishable, so the scan interpolates between full two-photon
-    interference at zero delay and independent walkers far away.
+    ``delays`` and ``coherence_sigma`` share the same (arbitrary) time units.
+    Column p of the (D, P) result is the scan of the p-th output pair k <= l
+    in ``np.triu_indices(N)`` order, P = N (N + 1) / 2; entry [d, p] is its
+    coincidence probability at delay ``delays[d]``, the form that
+    :func:`visibility` takes. Partial distinguishability enters through a
+    single Gaussian mode overlap gamma(dt) = exp(-dt^2 / (2 sigma^2)); each
+    delay point is the convex combination gamma * Gamma_indistinguishable +
+    (1 - gamma) * Gamma_distinguishable, so the scan interpolates between
+    full two-photon interference at zero delay and independent walkers far
+    away. Only the P pairs are formed, never the (D, N, N) cube.
     """
     # written so that a NaN sigma fails too
     if not coherence_sigma > 0:
@@ -81,11 +83,14 @@ def hom_scan(
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     gi = gamma_indistinguishable(propagator, i, j)
     gd = gamma_distinguishable(propagator, i, j)
+    ks, ls = np.triu_indices(gi.shape[0])
     # delay / sigma first, so that a tiny sigma overflows to a zero overlap
     # instead of squaring to zero and making the zero-delay row 0/0
     with np.errstate(over="ignore"):
         overlap = np.exp(-0.5 * (delays / coherence_sigma) ** 2)
-    return gd[None, :, :] + overlap[:, None, None] * (gi - gd)[None, :, :]
+    scan = overlap[:, None] * (gi - gd)[ks, ls]
+    scan += gd[ks, ls]
+    return scan
 
 
 def visibility(delays, counts, coherence_sigma: float, mode: str = "extrema") -> np.ndarray:

@@ -5,12 +5,15 @@ exponential uses scaling-and-squaring of a truncated Taylor series instead of
 an eigendecomposition, two-photon statistics come from brute-force Fock-space
 evolution, the z-ordered product is the one-segment-at-a-time loop, and
 Stokes vectors of pure fields and Mueller matrices of Jones blocks are
-computed from first principles. The single-photon helpers and the raised-sine
-path are conveniences that only the tests use.
+computed from first principles. The single-photon helpers, the raised-sine
+path, the scaled fan-in config and the tracemalloc peak are conveniences that
+only the tests use.
 """
 
 from __future__ import annotations
 
+import json
+import tracemalloc
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -22,12 +25,37 @@ from wgwalk.polarization import STATE_ORDER, STOKES_STATES, JonesTransfer, build
 from wgwalk.propagation import evolve_amplitudes, unitary
 from wgwalk.twophoton import _validated_inputs
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 PAPER_SEMI_MAJOR_UM = 10.2
 PAPER_SEMI_MINOR_UM = 7.0
 
 
 def paper_ellipse(n: int = 6):
     return elliptical_layout(n, PAPER_SEMI_MAJOR_UM, PAPER_SEMI_MINOR_UM)
+
+
+def scaled_fanin_walk(factor: int, steps: int = 1024) -> dict:
+    """configs/fanin_walk.json with each of its three ellipses scaled by
+    ``factor`` in core count and in both semi-axes, over ``steps`` segments."""
+    raw = json.loads((CONFIGS / "fanin_walk.json").read_text())
+    for stage in ("input", "intermediate", "final"):
+        ellipse = raw["layout"][stage]
+        ellipse["count"] *= factor
+        ellipse["semi_major_um"] *= factor
+        ellipse["semi_minor_um"] *= factor
+    raw["steps"] = steps
+    return raw
+
+
+def traced_peak(fn: Callable[[], object]) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def expm_taylor(matrix: np.ndarray, terms: int = 24) -> np.ndarray:

@@ -74,7 +74,7 @@ def test_criterion_1_hom_exactness():
         assert abs(gi[1, 1] - 0.5) < 1e-12
         delays = np.linspace(-8.0, 8.0, 81)
         scan = hom_scan(u, 0, 1, delays, 1.0)
-        (value,) = visibility(delays, scan[:, [0], [1]], 1.0)
+        (value,) = visibility(delays, scan[:, [1]], 1.0)
         assert abs(value - 1.0) < 1e-9
 
 

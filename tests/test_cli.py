@@ -15,12 +15,19 @@ from hypothesis import strategies as st
 
 from wgwalk import cli, io
 from wgwalk.cli import main
+from wgwalk.config import parse_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.polarization import extract_h_subspace
 from wgwalk.propagation import unitary
 from wgwalk.twophoton import gamma_indistinguishable, similarity, visibility
 
-from helpers import complex_matrix_from_payload, paper_ellipse, read_table_csv
+from helpers import (
+    complex_matrix_from_payload,
+    paper_ellipse,
+    read_table_csv,
+    scaled_fanin_walk,
+    traced_peak,
+)
 
 
 def base_config(out_dir, **overrides):
@@ -861,6 +868,14 @@ def test_tiny_coherence_sigma_gives_finite_scan(tmp_path):
     assert zero.sum() == 1
     np.testing.assert_allclose(counts[zero][0], gi, rtol=0, atol=1e-15)
     assert np.array_equal(counts[~zero], np.broadcast_to(gd, counts[~zero].shape))
+
+
+def test_memory_of_hom_on_a_48_core_fan_in_is_bounded():
+    # the fan-in product in batches of 32 segments and the (D, N, N) cube of
+    # the scan with its copies traced 6.7 MB here; batches sized by matrix
+    # elements and a scan of the 1,176 output pairs alone about 1.9 MB
+    cfg = parse_run_config(scaled_fanin_walk(8))
+    assert traced_peak(lambda: cli.cmd_hom(cfg)) <= 2_500_000
 
 
 @pytest.mark.parametrize("name", ["ellipse_walk", "fanin_walk"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wgwalk.config import parse_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import elliptical_layout, fan_in_layout, linear_layout
 from wgwalk.polarization import (
@@ -26,6 +27,8 @@ from helpers import (
     poincare_ellipsoid_reference,
     port_block,
     random_chip,
+    scaled_fanin_walk,
+    traced_peak,
 )
 
 
@@ -173,6 +176,14 @@ class TestBuildPolarizedChip:
         chip = build_polarized_chip(layout, model, model, birefringence=[2.0], z=1.0, steps=5)
         relative = chip.matrix[0, 0] / chip.matrix[1, 1]
         assert abs(relative - np.exp(2.0j * (1.0 + 2.5))) < 1e-12
+
+    def test_memory_of_a_24_core_fan_in_chip_is_bounded(self):
+        # batches of 32 segments of the 48 x 48 Jones generator traced 6.7 MB
+        # here; batches sized by matrix elements (8 segments) about 1.9 MB
+        cfg = parse_run_config(scaled_fanin_walk(4, steps=256))
+        model = cfg.coupling
+        peak = traced_peak(lambda: build_polarized_chip(cfg.layout, model, model, steps=cfg.steps))
+        assert peak <= 3_000_000
 
     def test_parameter_validation(self):
         layout = paper_ellipse()

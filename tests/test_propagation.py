@@ -4,11 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgwalk.config import load_run_config
+from wgwalk.config import load_run_config, parse_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import elliptical_layout, fan_in_layout, permuted_layout
+from wgwalk.polarization import build_polarized_chip
 from wgwalk.propagation import (
-    SEGMENTS_PER_BATCH,
+    BATCH_ELEMENTS,
+    MIN_BATCH_SEGMENTS,
     _exp_i_taylor,
     propagate_z_dependent,
     unitary,
@@ -21,7 +23,9 @@ from helpers import (
     propagate_per_step,
     random_hermitian,
     random_symmetric,
+    scaled_fanin_walk,
     single_photon_distribution,
+    traced_peak,
 )
 
 UNITARITY_TOL = 1e-10
@@ -276,11 +280,16 @@ class TestPropagateZDependent:
             propagate_z_dependent(_fan_in(), CouplingModel(), 0.0, 9.5, 0)
 
 
-_B = SEGMENTS_PER_BATCH
+def _batch_boundaries(n):
+    """Step counts around the first two batch boundaries of an n x n product:
+    the first batch holds MIN_BATCH_SEGMENTS segments, later ones b."""
+    first = MIN_BATCH_SEGMENTS
+    b = max(MIN_BATCH_SEGMENTS, BATCH_ELEMENTS // n**2)
+    return [1, first - 1, first, first + 1, first + b - 1, first + b + 1]
 
 
 class TestBatchedEngine:
-    @pytest.mark.parametrize("steps", [1, _B - 1, _B, _B + 1, 3 * _B + 5])
+    @pytest.mark.parametrize("steps", _batch_boundaries(6))
     def test_bit_equal_to_per_step_loop(self, steps):
         # relabelled cores and a cutoff that removes every coupling near the
         # wide input end and the long-range ones at the intermediate ellipse
@@ -292,6 +301,34 @@ class TestBatchedEngine:
         )
         actual = propagate_z_dependent(layout, model, 0.75, 9.5, steps, 25.0)
         assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("steps", _batch_boundaries(12))
+    def test_jones_chip_bit_equal_to_per_step_loop(self, steps):
+        # the 12 x 12 generator of build_polarized_chip, rebuilt here with
+        # mixed polarizations, split propagation constants and unequal laws
+        layout = _fan_in()
+        model_h, model_v = CouplingModel(), CouplingModel(c0_per_mm=0.8, beta_per_mm=0.2)
+        split, mixing = np.linspace(-0.3, 0.3, 6), np.full(6, 0.15)
+
+        def generator(z=None):
+            g = np.zeros((12, 12))
+            g[0::2, 0::2] = build_coupling_matrix(layout, model_h, z=z)
+            g[1::2, 1::2] = build_coupling_matrix(layout, model_v, z=z)
+            idx = np.arange(6)
+            g[2 * idx, 2 * idx] += split / 2.0
+            g[2 * idx + 1, 2 * idx + 1] -= split / 2.0
+            g[2 * idx, 2 * idx + 1] = mixing
+            g[2 * idx + 1, 2 * idx] = mixing
+            return g
+
+        dz = 9.5 / steps
+        fan = np.eye(12, dtype=complex)
+        for k in range(steps):
+            fan = _exp_i_taylor(generator((k + 0.5) * dz)[None], dz)[0] @ fan
+        chip = build_polarized_chip(
+            layout, model_h, model_v, birefringence=split, pol_rotation=mixing, z=1.0, steps=steps
+        )
+        assert np.array_equal(chip.matrix, unitary(generator(), 1.0) @ fan)
 
     @pytest.mark.parametrize("chip", ["_fan_in", "fanin_frontend"])
     def test_matches_eigh_per_step_loop(self, chip):
@@ -310,3 +347,12 @@ class TestBatchedEngine:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError, match="z_end"):
             propagate_z_dependent(_fan_in(), CouplingModel(), 9.5, 0.0, 8)
+
+    @pytest.mark.parametrize("steps", [1024, 4096])
+    def test_memory_of_a_48_core_fan_in_does_not_grow_with_steps(self, steps):
+        # batches of 32 segments traced 6.7 MB here; batches sized by matrix
+        # elements (8 segments of 48 x 48) trace about 1.5 MB at any step count
+        cfg = parse_run_config(scaled_fanin_walk(8, steps))
+        z0, z1 = cfg.layout.z_span
+        peak = traced_peak(lambda: propagate_z_dependent(cfg.layout, cfg.coupling, z0, z1, steps))
+        assert peak <= 2_500_000

@@ -150,31 +150,44 @@ class TestHomDelayScan:
         u = random_unitary(np.random.default_rng(47), 4)
         scan = hom_scan(u, 0, 1, [0.0], 1.0)
         np.testing.assert_allclose(
-            scan[0], gamma_indistinguishable(u, 0, 1), atol=1e-15
+            scan[0], gamma_indistinguishable(u, 0, 1)[np.triu_indices(4)], atol=1e-15
         )
 
     def test_large_delay_is_distinguishable(self):
         u = random_unitary(np.random.default_rng(53), 4)
         scan = hom_scan(u, 0, 1, [10.0], 1.0)
         np.testing.assert_allclose(
-            scan[0], gamma_distinguishable(u, 0, 1), atol=1e-10
+            scan[0], gamma_distinguishable(u, 0, 1)[np.triu_indices(4)], atol=1e-10
         )
 
     def test_convex_combination_bounds(self):
         u = random_unitary(np.random.default_rng(59), 5)
-        gi = gamma_indistinguishable(u, 1, 3)
-        gd = gamma_distinguishable(u, 1, 3)
+        pairs = np.triu_indices(5)
+        gi = gamma_indistinguishable(u, 1, 3)[pairs]
+        gd = gamma_distinguishable(u, 1, 3)[pairs]
         scan = hom_scan(u, 1, 3, np.linspace(-3, 3, 21), 0.8)
-        assert scan.shape == (21, 5, 5)
+        assert scan.shape == (21, 15)
         lower = np.minimum(gi, gd) - 1e-12
         upper = np.maximum(gi, gd) + 1e-12
         assert np.all(scan >= lower[None])
         assert np.all(scan <= upper[None])
 
+    def test_pair_scan_is_the_cube_on_the_upper_triangle_bit_for_bit(self):
+        # the (D, N, N) cube that the scan once returned, gathered on k <= l
+        u = random_unitary(np.random.default_rng(101), 48)
+        delays, sigma = np.linspace(-4, 4, 81), 0.7
+        gi, gd = gamma_indistinguishable(u, 5, 30), gamma_distinguishable(u, 5, 30)
+        overlap = np.exp(-0.5 * (delays / sigma) ** 2)
+        cube = gd[None, :, :] + overlap[:, None, None] * (gi - gd)[None, :, :]
+        ks, ls = np.triu_indices(48)
+        scan = hom_scan(u, 5, 30, delays, sigma)
+        assert scan.shape == (81, 1176)
+        assert np.array_equal(scan, cube[:, ks, ls])
+
     def test_gaussian_width_recovered_by_fit(self):
         sigma = 0.7
         delays = np.linspace(-4, 4, 161)
-        counts = hom_scan(splitter_5050(), 0, 1, delays, sigma)[:, 0, 1]
+        counts = hom_scan(splitter_5050(), 0, 1, delays, sigma)[:, 1]
 
         def dip(t, baseline, depth, width):
             return baseline - depth * np.exp(-(t**2) / (2.0 * width**2))
@@ -194,7 +207,7 @@ class TestHomDelayScan:
 class TestVisibility:
     def test_full_dip_on_5050(self):
         delays = np.linspace(-6, 6, 121)
-        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 0, 1]
+        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 1]
         (value,) = visibility(delays, counts[:, None], 1.0)
         assert value == pytest.approx(1.0, abs=1e-9)
 
@@ -225,20 +238,20 @@ class TestVisibility:
     def test_fit_rejects_fewer_than_three_distinct_delay_magnitudes(self, points):
         # |t| = 4, 0, 4 and 4, 4/3, 4/3, 4 (the two 4/3 one ulp apart)
         delays = np.linspace(-4, 4, points)
-        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 0, 1]
+        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 1]
         with pytest.raises(ValueError, match="three distinct"):
             visibility(delays, counts[:, None], 1.0, mode="fit")
 
     @pytest.mark.parametrize("delays", [np.linspace(-4, 4, 5), [0.0, 1.0, 2.0]])
     def test_fit_accepts_three_distinct_delay_magnitudes(self, delays):
-        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 0, 1]
+        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 1]
         (value,) = visibility(delays, counts[:, None], 1.0, mode="fit")
         assert value == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
     def test_fit_rejects_a_starting_width_that_is_not_positive(self, sigma):
         delays = np.linspace(-4, 4, 81)
-        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 0, 1]
+        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 1]
         with pytest.raises(ValueError, match="coherence_sigma"):
             visibility(delays, counts[:, None], sigma, mode="fit")
         # the extrema never read the width
@@ -286,17 +299,17 @@ def _scan_with_degenerate_pairs():
     distinguishable coincidences differ by one ulp."""
     u = random_unitary(np.random.default_rng(83), 6)
     delays = np.linspace(-4, 4, 41)
-    coincidences = hom_scan(u, 0, 3, delays, 1.0)
-    coincidences[:, 5, 5] = 0.0
+    counts = hom_scan(u, 0, 3, delays, 1.0)
+    counts[:, ALL_ZERO] = 0.0
     gd = 0.2
     overlap = np.exp(-(delays**2) / 2.0)
-    coincidences[:, 1, 2] = gd + overlap * (np.nextafter(gd, 1.0) - gd)
-    assert 0.0 < np.ptp(coincidences[:, 1, 2]) < 1e-16
-    ks, ls = np.triu_indices(6)
-    return delays, coincidences[:, ks, ls]
+    counts[:, NEAR_FLAT] = gd + overlap * (np.nextafter(gd, 1.0) - gd)
+    assert 0.0 < np.ptp(counts[:, NEAR_FLAT]) < 1e-16
+    return delays, counts
 
 
-NEAR_FLAT = 7  # column of pair (1, 2) among the upper-triangle pairs of six ports
+# columns of pairs (1, 2) and (5, 5) among the upper-triangle pairs of six ports
+NEAR_FLAT, ALL_ZERO = 7, 20
 
 
 def _column_by_column(delays, counts, mode):
@@ -346,9 +359,7 @@ def _scan_of_48_ports():
     """Delays and (81, 1176) upper-triangle counts of a random 48-port chip,
     with a flat, an all-zero and a non-converging pair among them."""
     delays = np.linspace(-4, 4, 81)
-    coincidences = hom_scan(random_unitary(np.random.default_rng(97), 48), 5, 30, delays, 1.0)
-    ks, ls = np.triu_indices(48)
-    counts = coincidences[:, ks, ls]
+    counts = hom_scan(random_unitary(np.random.default_rng(97), 48), 5, 30, delays, 1.0)
     counts[:, 3] = 0.25  # flat: visibility 0
     counts[:, 600] = 0.0  # no coincidences: undefined
     # alternating 1.0, 1.5: needs more than _FIT_MAX_ITER steps, so undefined
