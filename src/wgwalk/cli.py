@@ -1,7 +1,9 @@
 """Command-line surface: the pipeline subcommands of ``_COMMANDS``, plus fidelity.
 
 Every subcommand reads one JSON run configuration and writes plot-ready
-artifacts into the output directory. Each stage computes its artifacts in
+artifacts into the output directory; ``correlations`` and ``hom`` take the
+transfer matrix from the ``unitary.json`` that ``propagate`` wrote there for
+the same config, when it is usable. Each stage computes its artifacts in
 full before ``main`` writes any of them, so a failing command writes
 nothing. Exit codes are stable: 0 success, 2 configuration or path error, 3
 numerical failure.
@@ -42,6 +44,7 @@ from .twophoton import (
 _NORMALIZATION_GUARD = 1e-9
 
 RECORD_FILENAME = "tomography_record.csv"
+TRANSFER_FILENAME = "unitary.json"
 
 # File name -> content, in write order. Content is a JSON payload dict, a
 # matrix array, a (columns, rows) table or a TomographyRecord.
@@ -63,6 +66,19 @@ def _chip_propagators(cfg: RunConfig):
         fan = np.eye(n, dtype=complex)
     total = unitary(c, cfg.z_mm) @ fan
     return c, fan, total
+
+
+def _transfer(cfg: RunConfig) -> np.ndarray:
+    """The chip's transfer matrix U: the one ``propagate`` wrote into the output
+    directory for this config and tool version, if it reads back unitary to
+    within the normalization guard, and otherwise computed as ``propagate``
+    computes it. Such a file holds the computed U bit for bit, so both give
+    the same artifacts."""
+    n = cfg.layout.n
+    u = io.read_transfer_matrix(cfg.out_dir / TRANSFER_FILENAME, cfg.digest, n)
+    if u is not None and np.max(np.abs(u.conj().T @ u - np.eye(n))) <= _NORMALIZATION_GUARD:
+        return u
+    return _chip_propagators(cfg)[2]
 
 
 def _input_pair(cfg: RunConfig) -> tuple:
@@ -106,7 +122,7 @@ def cmd_propagate(cfg: RunConfig) -> Artifacts:
     columns = ["z"] + [f"p_{k + 1}" for k in range(cfg.layout.n)]
     return {
         "trace.csv": (columns, np.column_stack([grid, probabilities])),
-        "unitary.json": {
+        TRANSFER_FILENAME: {
             "n_ports": cfg.layout.n,
             "input_port": port + 1,
             "z_mm": cfg.z_mm,
@@ -117,8 +133,8 @@ def cmd_propagate(cfg: RunConfig) -> Artifacts:
 
 
 def cmd_correlations(cfg: RunConfig) -> Artifacts:
-    _, _, total = _chip_propagators(cfg)
     i, j = _input_pair(cfg)
+    total = _transfer(cfg)
     gi = gamma_indistinguishable(total, i, j)
     gd = gamma_distinguishable(total, i, j)
     for kind, matrix in (("indistinguishable", gi), ("distinguishable", gd)):
@@ -140,8 +156,8 @@ def cmd_correlations(cfg: RunConfig) -> Artifacts:
 def cmd_hom(cfg: RunConfig) -> Artifacts:
     if cfg.hom is None:
         raise ConfigError("missing config section 'hom'")
-    _, _, total = _chip_propagators(cfg)
     i, j = _input_pair(cfg)
+    total = _transfer(cfg)
     delays, sigma = cfg.hom.delays, cfg.hom.coherence_sigma
     ks, ls = np.triu_indices(cfg.layout.n)
     pairs = list(zip(ks.tolist(), ls.tolist()))
@@ -205,8 +221,10 @@ def _load_record(cfg: RunConfig):
 
 def cmd_tomography_simulate(cfg: RunConfig) -> Artifacts:
     chip = _build_chip(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    return {RECORD_FILENAME: simulate_tomography(chip, cfg.polarization.photometric_noise, rng)}
+    noise = cfg.polarization.photometric_noise
+    # numpy.random is imported only for a noisy record
+    rng = np.random.default_rng(cfg.seed) if noise > 0 else None
+    return {RECORD_FILENAME: simulate_tomography(chip, noise, rng)}
 
 
 def cmd_tomography_reconstruct(cfg: RunConfig) -> Artifacts:

@@ -16,6 +16,9 @@ resident, where writing the document as one string took 204 MB. The 2.9 MB
 its text at each nesting level traced 9.0 MB, and reading that chip's
 82,944-row tomography record traces 4.3 MB, where 8.5 MB went to
 per-state masks and separate key arrays.
+
+``read_transfer_matrix`` reads back the transfer matrix of ``unitary.json``
+for the config that wrote it, so that later stages need not recompute it.
 """
 
 from __future__ import annotations
@@ -307,6 +310,25 @@ def complex_matrix_payload(matrix: np.ndarray) -> np.ndarray:
     """Row-major [re, im] pairs: an (..., 2) float array."""
     m = np.asarray(matrix, dtype=complex)
     return np.stack([m.real, m.imag], axis=-1)
+
+
+def read_transfer_matrix(path, digest: Optional[str], n: int) -> Optional[np.ndarray]:
+    """The (n, n) complex matrix that ``unitary.json`` at ``path`` holds, bit for
+    bit as written (signed zeros included), or None when the file is missing
+    or not JSON, names another config sha256 or tool version, or holds a
+    matrix of another shape or with a non-finite entry."""
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+        meta = document["meta"]
+        if meta.get("config_sha256") != digest or meta.get("tool_version") != TOOL_VERSION:
+            return None
+        pairs = np.array(document["matrix_re_im"], dtype=float)
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, RecursionError):
+        return None
+    if pairs.shape != (n, n, 2) or not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex).reshape(n, n)
 
 
 def write_record_csv(path, record: TomographyRecord, digest: Optional[str] = None) -> None:

@@ -845,6 +845,31 @@ def test_mutated_configs_exit_cleanly(tmp_path_factory, cfg):
             assert not out.exists()
 
 
+REUSE_STAGES = ["correlations", "hom"]
+
+
+def _stage_bytes(out):
+    """Bytes of each artifact in ``out`` that ``correlations`` or ``hom`` wrote."""
+    if not out.exists():
+        return {}
+    skip = {"trace.csv", cli.TRANSFER_FILENAME}
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path.name not in skip}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cfg=mutated_configs())
+def test_mutated_configs_after_propagate_match_a_fresh_directory(tmp_path_factory, cfg):
+    work = tmp_path_factory.mktemp("chained")
+    cfg_path = write_config(work, cfg)
+    chained, fresh = work / "chained", work / "fresh"
+    if main(["propagate", "--config", cfg_path, "--out", str(chained)]) != 0:
+        return
+    for command in REUSE_STAGES:
+        codes = [main([command, "--config", cfg_path, "--out", str(out)]) for out in (chained, fresh)]
+        assert codes[0] == codes[1]
+    assert _stage_bytes(chained) == _stage_bytes(fresh)
+
+
 def _shipped_config(tmp_path, name, **edits):
     """A shipped config with its top-level sections updated by ``edits``."""
     cfg = json.loads((CONFIGS / f"{name}.json").read_text())
@@ -901,3 +926,101 @@ def test_impossible_allocation_is_numerical_failure(tmp_path, capsys, command):
     assert main([command] + argv + ["--steps", str(10**12)]) == 3
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
     assert not out.exists()
+
+
+def _reuse_config(tmp_path, name):
+    if name == "scaled_fanin_walk(4)":
+        return write_config(tmp_path, scaled_fanin_walk(4))
+    return write_config(tmp_path, json.loads((CONFIGS / f"{name}.json").read_text()))
+
+
+class TestTransferReuse:
+    """correlations and hom take U from the unitary.json that propagate wrote."""
+
+    @staticmethod
+    def run(cfg_path, out, commands, expect=0):
+        for command in commands:
+            assert main([command, "--config", cfg_path, "--out", str(out)]) == expect
+
+    @pytest.mark.parametrize("name", ["ellipse_walk", "fanin_walk", "scaled_fanin_walk(4)"])
+    def test_chained_outputs_equal_fresh_ones(self, tmp_path, name):
+        cfg_path = _reuse_config(tmp_path, name)
+        self.run(cfg_path, tmp_path / "chained", ["propagate"] + REUSE_STAGES)
+        self.run(cfg_path, tmp_path / "fresh", REUSE_STAGES)
+        chained = _stage_bytes(tmp_path / "chained")
+        assert len(chained) == 6
+        assert chained == _stage_bytes(tmp_path / "fresh")
+
+    @pytest.mark.parametrize("name", ["ellipse_walk", "fanin_walk"])
+    def test_matching_file_skips_the_product(self, tmp_path, monkeypatch, name):
+        cfg_path = _reuse_config(tmp_path, name)
+        self.run(cfg_path, tmp_path / "chained", ["propagate"])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transfer matrix recomputed")
+
+        monkeypatch.setattr(cli, "propagate_z_dependent", refuse)
+        monkeypatch.setattr(cli, "unitary", refuse)
+        self.run(cfg_path, tmp_path / "chained", REUSE_STAGES)
+        with pytest.raises(AssertionError, match="recomputed"):
+            main(["correlations", "--config", cfg_path, "--out", str(tmp_path / "fresh")])
+
+    @pytest.mark.parametrize(
+        "case",
+        ["used", "other digest", "other version", "shape", "nan", "not unitary", "truncated"],
+    )
+    def test_unusable_file_falls_back_to_the_same_bytes(self, tmp_path, case):
+        cfg_path = _reuse_config(tmp_path, "fanin_walk")
+        self.run(cfg_path, tmp_path / "fresh", REUSE_STAGES)
+        self.run(cfg_path, tmp_path / "chained", ["propagate"])
+        text = (tmp_path / "chained" / cli.TRANSFER_FILENAME).read_text()
+        document = json.loads(text)
+        meta, pairs = document["meta"], document["matrix_re_im"]
+        # U with its columns reversed is unitary too, and moves every artifact
+        swapped = [row[::-1] for row in pairs]
+        if case == "used":
+            document["matrix_re_im"] = swapped
+        elif case == "other digest":
+            meta["config_sha256"], document["matrix_re_im"] = "0" * 64, swapped
+        elif case == "other version":
+            meta["tool_version"], document["matrix_re_im"] = "0.0.0", swapped
+        elif case == "shape":
+            pairs.pop()
+        elif case == "nan":
+            pairs[0][0][0] = math.nan
+        elif case == "not unitary":
+            document["matrix_re_im"] = [[[2 * re, 2 * im] for re, im in row] for row in pairs]
+        edited = json.dumps(document) if case != "truncated" else text[: len(text) // 2]
+        out = tmp_path / "edited"
+        out.mkdir()
+        (out / cli.TRANSFER_FILENAME).write_text(edited)
+        self.run(cfg_path, out, REUSE_STAGES)
+        fresh, got = _stage_bytes(tmp_path / "fresh"), _stage_bytes(out)
+        if case == "used":
+            assert all(got[name] != fresh[name] for name in fresh)
+        else:
+            assert got == fresh
+
+    def test_steps_override_recomputes(self, tmp_path):
+        cfg_path = _reuse_config(tmp_path, "fanin_walk")
+        self.run(cfg_path, tmp_path / "chained", ["propagate"])
+        for out in ("chained", "fresh"):
+            argv = ["--config", cfg_path, "--out", str(tmp_path / out), "--steps", "128"]
+            assert main(["correlations"] + argv) == 0
+        assert _stage_bytes(tmp_path / "chained") == _stage_bytes(tmp_path / "fresh")
+
+    @pytest.mark.parametrize("command", REUSE_STAGES)
+    def test_bad_input_pair_exits_before_the_product(self, tmp_path, monkeypatch, capsys, command):
+        # one input port and a coupling law that overflows: the port list is reported
+        cfg = json.loads((CONFIGS / "fanin_walk.json").read_text())
+        cfg["input_ports"] = [1]
+        cfg["coupling"].update(kappa_per_um=2, r0_um=400)
+        cfg_path = write_config(tmp_path, cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transfer matrix computed")
+
+        monkeypatch.setattr(cli, "propagate_z_dependent", refuse)
+        self.run(cfg_path, tmp_path / "run", [command], expect=2)
+        assert "input_ports" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

@@ -230,3 +230,43 @@ class TestCsvWriters:
         assert peak <= 5_000_000
         np.testing.assert_array_equal(back.intensities, record.intensities)
         assert io.csv_digest(tmp_path / "r.csv") == "cd" * 32
+
+
+class TestReadTransferMatrix:
+    DIGEST = "ab" * 32
+
+    def write(self, path, matrix, digest=DIGEST):
+        io.write_json(path, {"matrix_re_im": io.complex_matrix_payload(matrix)}, digest)
+
+    def test_round_trips_bit_for_bit_with_signed_zeros(self, tmp_path):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        m[0, 0] = complex(-0.0, 0.0)
+        m[1, 2] = complex(0.0, -0.0)
+        m[3, 4] = complex(5e-324, -1.7976931348623157e308)
+        self.write(tmp_path / "u.json", m)
+        back = io.read_transfer_matrix(tmp_path / "u.json", self.DIGEST, 5)
+        assert back.shape == (5, 5) and back.dtype == complex
+        assert back.view(np.int64).tobytes() == m.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize(
+        "case", ["missing", "other digest", "no digest", "other version", "shape", "nan", "truncated", "not a dict"]
+    )
+    def test_unusable_file_reads_none(self, tmp_path, case):
+        path = tmp_path / "u.json"
+        if case != "missing":
+            self.write(path, np.eye(4), None if case == "no digest" else self.DIGEST)
+        if case == "other version":
+            path.write_text(path.read_text().replace(io.TOOL_VERSION, "0.0.0"))
+        elif case == "shape":
+            self.write(path, np.eye(4)[:3])
+        elif case == "nan":
+            document = json.loads(path.read_text())
+            document["matrix_re_im"][1][2][0] = float("nan")
+            path.write_text(json.dumps(document))
+        elif case == "truncated":
+            path.write_text(path.read_text()[:-40])
+        elif case == "not a dict":
+            path.write_text("[1, 2]")
+        digest = "cd" * 32 if case == "other digest" else self.DIGEST
+        assert io.read_transfer_matrix(path, digest, 4) is None
