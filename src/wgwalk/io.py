@@ -10,7 +10,7 @@ file, and writes nothing when it finds one. A JSON payload is validated in
 full and then streamed: everything but its large arrays is formatted first
 and held once, as the pieces of its text, and each large array is written a
 block of leading-index rows at a time, so memory no longer grows with
-``steps``. At 65,536 steps the fan-in ``layout`` command peaks at 46 MB
+``steps``. At 65,536 steps the fan-in ``layout`` command peaks at 43 MB
 resident, where writing the document as one string took 204 MB. The 2.9 MB
 ``ellipsoids.json`` of a 48-port chip traces 3.4 MB to write, where joining
 its text at each nesting level traced 9.0 MB, and reading that chip's
@@ -24,7 +24,6 @@ for the config that wrote it, so that later stages need not recompute it.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import warnings
@@ -32,6 +31,16 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+
+# The interpreter's own SHA-256: hashlib loads OpenSSL's libcrypto, which
+# added about 3.6 MB to the resident memory of every wgwalk process.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:  # builds that ship only OpenSSL's hashes
+        from hashlib import sha256
 
 from .polarization import STATE_ORDER, ReconstructionError, TomographyRecord
 
@@ -42,7 +51,7 @@ def config_digest(config: dict) -> str:
     """Stable sha256 of a config dict; output location does not affect it."""
     payload = {k: v for k, v in config.items() if k != "out_dir"}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _write_csv(

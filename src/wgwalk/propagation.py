@@ -31,6 +31,13 @@ HERMITICITY_TOL = 1e-12
 BATCH_ELEMENTS = 18_432
 MIN_BATCH_SEGMENTS = 8
 
+# Most segments z_ordered_product accepts: 256 times the most that a shipped
+# or benchmark chip uses (4,096). At about 8 us a segment for 6 x 6 and
+# 0.4 ms for 48 x 48 generators (one core of a 2-CPU x86-64 VM), a product
+# at the cap takes 9 s to 7 min; a larger count is refused before any work,
+# not left to run for days.
+MAX_STEPS = 1 << 20
+
 # Taylor kernel: each dz H is scaled by 2**-s until its 1-norm is at most
 # _TAYLOR_THETA, where the first omitted term, ||X||**14 / 14!, is at most
 # 4.3e-20. Coefficients of the cos series in X**2 and of sin(X) / X likewise.
@@ -138,20 +145,22 @@ def z_ordered_product(
     a batch holds about BATCH_ELEMENTS matrix elements up to n = 48 and
     8 n**2 above, whatever ``steps``. Each segment is scaled on its own, so
     the result does not depend on the batching. A non-finite or non-Hermitian
-    generator raises ValueError.
+    generator, or ``steps`` above ``MAX_STEPS``, raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if steps > MAX_STEPS:
+        raise ValueError(
+            f"steps {steps} exceeds the cap of {MAX_STEPS} segments of a z-ordered product"
+        )
     if z_end < z_start:
         raise ValueError("z_end must not precede z_start")
     dz = (z_end - z_start) / steps
-    # All midpoints at once, 8 bytes a segment: a step count too large for
-    # this array fails here at once, not after days of products.
-    midpoints = z_start + (np.arange(steps) + 0.5) * dz
     u = None
     first, size = 0, MIN_BATCH_SEGMENTS
     while first < steps:
-        segments = _exp_i_taylor(generator(midpoints[first : first + size]), dz)
+        midpoints = z_start + (np.arange(first, min(first + size, steps)) + 0.5) * dz
+        segments = _exp_i_taylor(generator(midpoints), dz)
         first += size
         if u is None:
             n = segments.shape[-1]

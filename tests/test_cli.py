@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from wgwalk.cli import main
 from wgwalk.config import parse_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.polarization import extract_h_subspace
-from wgwalk.propagation import unitary
+from wgwalk.propagation import MAX_STEPS, unitary
 from wgwalk.twophoton import gamma_indistinguishable, similarity, visibility
 
 from helpers import (
@@ -727,6 +728,29 @@ class TestStartup:
         )
         assert result.stdout.strip() == "False"
 
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+        reason="this interpreter has no built-in SHA-256",
+    )
+    def test_commands_do_not_load_openssl(self, tmp_path):
+        # hashlib's OpenSSL backend added about 3.6 MB to every process for one config digest
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        layout = (
+            "import runpy, sys\n"
+            "sys.argv[1:] = ['layout', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "try:\n"
+            "    runpy.run_module('wgwalk.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+        )
+        for probe in ("import wgwalk.cli", layout):
+            argv = [sys.executable, "-c", probe + "\nimport sys; print(sorted(sys.modules))"]
+            argv += [str(CONFIGS / "fanin_walk.json"), str(tmp_path)]
+            result = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            assert "'_hashlib'" not in result.stdout.splitlines()[-1]
+        assert (tmp_path / "layout.json").is_file()
+
     @staticmethod
     def _after_import(**preset):
         """Thread count and OPENBLAS_NUM_THREADS after a fresh ``import wgwalk.cli``."""
@@ -920,11 +944,16 @@ def test_overflowing_coupling_law_is_numerical_failure(tmp_path, capsys, name, c
 
 @pytest.mark.parametrize("command", ["layout", "propagate"])
 def test_impossible_allocation_is_numerical_failure(tmp_path, capsys, command):
-    # numpy refuses arrays of 10^12 elements without allocating any memory
+    # numpy refuses layout's 10^12 samples without allocating any memory;
+    # the fan-in product refuses the step count before it forms any array
+    message = {
+        "layout": "error: Unable to allocate",
+        "propagate": f"error: steps {10**12} exceeds the cap of {MAX_STEPS} segments",
+    }[command]
     out = tmp_path / "run"
     argv = ["--config", str(CONFIGS / "fanin_walk.json"), "--out", str(out)]
     assert main([command] + argv + ["--steps", str(10**12)]) == 3
-    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 

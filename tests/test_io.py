@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,25 +21,31 @@ float_arrays = arrays(
     array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
     elements=finite_floats,
 )
-leaves = (
+json_leaves = (
     st.none()
     | st.booleans()
     | st.integers()
     | finite_floats
     | st.text(alphabet=st.characters(), max_size=8)
     | st.sampled_from(['"', "\\", 'a"b\\c', "é中\U0001f600", "\n\t"])
-    | float_arrays
 )
-documents = st.dictionaries(
-    st.text(max_size=6),
-    st.recursive(
-        leaves,
-        lambda children: st.lists(children, max_size=4)
-        | st.dictionaries(st.text(max_size=6), children, max_size=4),
-        max_leaves=16,
-    ),
-    max_size=5,
-)
+
+
+def json_documents(leaves):
+    """Dicts of nested lists and dicts of the given leaves."""
+    return st.dictionaries(
+        st.text(max_size=6),
+        st.recursive(
+            leaves,
+            lambda children: st.lists(children, max_size=4)
+            | st.dictionaries(st.text(max_size=6), children, max_size=4),
+            max_leaves=16,
+        ),
+        max_size=5,
+    )
+
+
+documents = json_documents(json_leaves | float_arrays)
 
 
 def plain(value):
@@ -270,3 +281,43 @@ class TestReadTransferMatrix:
             path.write_text("[1, 2]")
         digest = "cd" * 32 if case == "other digest" else self.DIGEST
         assert io.read_transfer_matrix(path, digest, 4) is None
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted((ROOT / "configs").glob("*.json"))
+
+
+def hashlib_digest(config):
+    """hashlib's sha256 of the canonical blob that config_digest hashes."""
+    payload = {k: v for k, v in config.items() if k != "out_dir"}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class TestConfigDigest:
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_shipped_config_digest_equals_hashlib(self, path):
+        config = json.loads(path.read_text())
+        assert io.config_digest(config) == hashlib_digest(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=json_documents(json_leaves))
+    def test_digest_equals_hashlib(self, config):
+        assert io.config_digest(config) == hashlib_digest(config)
+
+    def test_hashlib_fallback_gives_the_same_digest(self):
+        # an interpreter without the built-in SHA-256 modules falls back to hashlib
+        probe = (
+            "import json, sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "import hashlib; from wgwalk import io; "
+            "print(io.sha256 is hashlib.sha256); "
+            "print(json.dumps([io.config_digest(json.load(open(p))) for p in sys.argv[1:]]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *map(str, SHIPPED)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        fallback, digests = result.stdout.splitlines()
+        assert fallback == "True"
+        assert json.loads(digests) == [hashlib_digest(json.loads(p.read_text())) for p in SHIPPED]

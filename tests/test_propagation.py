@@ -10,10 +10,12 @@ from wgwalk.geometry import elliptical_layout, fan_in_layout, permuted_layout
 from wgwalk.polarization import build_polarized_chip
 from wgwalk.propagation import (
     BATCH_ELEMENTS,
+    MAX_STEPS,
     MIN_BATCH_SEGMENTS,
     _exp_i_taylor,
     propagate_z_dependent,
     unitary,
+    z_ordered_product,
 )
 
 from helpers import (
@@ -343,6 +345,27 @@ class TestBatchedEngine:
         expected = propagate_per_step(layout, model, z0, z1, steps, neighbor_cutoff=cutoff)
         actual = propagate_z_dependent(layout, model, z0, z1, steps, cutoff)
         np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("steps", _batch_boundaries(2) + [10_000])
+    def test_batch_midpoints_equal_all_at_once(self, steps):
+        # formed a batch at a time, the midpoints still equal the whole
+        # z_start + (k + 1/2) dz array bit for bit
+        sampled = []
+
+        def generator(z):
+            sampled.append(z)
+            return np.zeros((len(z), 2, 2))
+
+        z_ordered_product(generator, 0.75, 9.5, steps)
+        dz = (9.5 - 0.75) / steps
+        assert np.array_equal(np.concatenate(sampled), 0.75 + (np.arange(steps) + 0.5) * dz)
+
+    def test_step_count_above_cap_rejected_before_any_work(self):
+        def generator(z):
+            raise AssertionError("sampled a refused product")
+
+        with pytest.raises(ValueError, match=rf"steps {MAX_STEPS + 1} .* cap of {MAX_STEPS}"):
+            z_ordered_product(generator, 0.0, 9.5, MAX_STEPS + 1)
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError, match="z_end"):
