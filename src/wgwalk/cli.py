@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import sys
 from pathlib import Path
 from typing import Dict
@@ -32,7 +33,7 @@ from .polarization import (
     reconstruct_mueller,
     simulate_tomography,
 )
-from .propagation import evolve_amplitudes, propagate_z_dependent, unitary
+from .propagation import MAX_STEPS, evolve_amplitudes, propagate_z_dependent, unitary
 from .twophoton import (
     gamma_distinguishable,
     gamma_indistinguishable,
@@ -98,6 +99,10 @@ def cmd_layout(cfg: RunConfig) -> Artifacts:
         "z_span_mm": list(layout.z_span) if layout.z_span else None,
     }
     if layout.fan_in is not None:
+        if cfg.steps > MAX_STEPS:
+            raise ValueError(
+                f"steps {cfg.steps} exceeds the cap of {MAX_STEPS} segments of a fan-in profile"
+            )
         z0, z1 = layout.z_span
         samples = np.linspace(z0, z1, cfg.steps + 1)
         payload["profile"] = {
@@ -222,9 +227,7 @@ def _load_record(cfg: RunConfig):
 def cmd_tomography_simulate(cfg: RunConfig) -> Artifacts:
     chip = _build_chip(cfg)
     noise = cfg.polarization.photometric_noise
-    # numpy.random is imported only for a noisy record
-    rng = np.random.default_rng(cfg.seed) if noise > 0 else None
-    return {RECORD_FILENAME: simulate_tomography(chip, noise, rng)}
+    return {RECORD_FILENAME: simulate_tomography(chip, noise, random.Random(cfg.seed))}
 
 
 def cmd_tomography_reconstruct(cfg: RunConfig) -> Artifacts:
@@ -242,9 +245,15 @@ def cmd_tomography_report(cfg: RunConfig) -> Artifacts:
     record = _load_record(cfg)
     matrices, _ = reconstruct_mueller(record)
     e = poincare_ellipsoid(matrices)
+    # the per-pair objects are built a row at a time as the file is written,
+    # so their arrays are checked here, before any artifact is written
+    arrays = [e.center, e.semi_axes, e.orientation, *e.markers.values(), e.average_power]
+    io.check_finite("ellipsoids.json", arrays)
     powers, degenerate = e.average_power.tolist(), e.degenerate.tolist()
-    ellipsoids = [
-        [
+    n = record.n_ports
+
+    def row(out_port: int) -> list:
+        return [
             {
                 "output_port": out_port + 1,
                 "input_port": in_port + 1,
@@ -255,12 +264,11 @@ def cmd_tomography_report(cfg: RunConfig) -> Artifacts:
                 "average_power": powers[out_port][in_port],
                 "degenerate": degenerate[out_port][in_port],
             }
-            for in_port in range(record.n_ports)
+            for in_port in range(n)
         ]
-        for out_port in range(record.n_ports)
-    ]
+
     return {
-        "ellipsoids.json": {"ellipsoids": ellipsoids},
+        "ellipsoids.json": {"ellipsoids": map(row, range(n))},
         "pdl.json": {"excess_v_loss_by_input_port": pdl_report(record)},
     }
 

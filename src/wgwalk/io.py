@@ -6,16 +6,20 @@ of the effective run configuration; JSON payloads carry the same fields in a
 float formatting, no timestamps. Ports are 1-based in all emitted files.
 
 Every writer checks its content for non-finite numbers before it opens its
-file, and writes nothing when it finds one. A JSON payload is validated in
-full and then streamed: everything but its large arrays is formatted first
-and held once, as the pieces of its text, and each large array is written a
-block of leading-index rows at a time, so memory no longer grows with
-``steps``. At 65,536 steps the fan-in ``layout`` command peaks at 43 MB
-resident, where writing the document as one string took 204 MB. The 2.9 MB
-``ellipsoids.json`` of a 48-port chip traces 3.4 MB to write, where joining
-its text at each nesting level traced 9.0 MB, and reading that chip's
-82,944-row tomography record traces 4.3 MB, where 8.5 MB went to
-per-state masks and separate key arrays.
+file, and writes nothing when it finds one; the items of an iterator in a
+JSON payload are checked by whoever builds them. A JSON payload is written
+as it is formatted, and none of its text is kept: each large array a block
+of leading-index rows at a time, and each container of many items, or
+iterator, an item at a time. So memory grows neither with ``steps`` nor with
+port count. At 65,536 steps the fan-in ``layout`` command peaks at 43 MB
+resident, where writing the document as one string took 204 MB. ``report``
+builds the per-pair objects of a 48-port chip's 2.9 MB ``ellipsoids.json`` a
+row at a time as it writes them: reading the record, reconstructing and
+writing trace 2.7 MB together, where building every object and holding the
+text once traced 6.6 MB. Reading that chip's 82,944-row tomography record
+traces 2.7 MB, with int32 ports and two-byte states, where int64 ports and
+two-character states traced 4.3 MB and per-state masks and separate key
+arrays 8.5 MB.
 
 ``read_transfer_matrix`` reads back the transfer matrix of ``unitary.json``
 for the config that wrote it, so that later stages need not recompute it.
@@ -136,18 +140,16 @@ def write_table_csv(
 
 _JSON_INDENT = "  "
 _encode = json.encoder.encode_basestring_ascii
-# A JSON array of more than _BLOCK elements is checked in place, then written
-# about _BLOCK elements (whole leading-index rows) at a time, so that the text
-# of the whole array is never held.
+# A JSON array of more than _BLOCK elements is written about _BLOCK elements
+# (whole leading-index rows) at a time, so that the text of the whole array is
+# never held.
 _BLOCK = 4096
-# A list or dict of more than _FEW_ITEMS items whose text runs past
-# _TEXT_BLOCK characters is kept as the pieces of that text and never joined,
-# so that a large document's text is held once. A container of few items is
-# joined without summing its text, which would cost as much as the join for
-# the thousands of small dicts of a 48-port report; no payload here nests
-# such containers deep enough for that join to copy much.
+# A list or dict of more than _FEW_ITEMS items, and an iterator, is written an
+# item at a time, each item formatted as one string, so that the text of a
+# document of many small containers is never held. A container of few items
+# is written as one string, unless it holds a large array or a container that
+# is written an item at a time.
 _FEW_ITEMS = 8
-_TEXT_BLOCK = 1 << 16
 
 
 @functools.lru_cache(maxsize=64)
@@ -185,33 +187,32 @@ def _first_non_finite(array: np.ndarray) -> Optional[float]:
 def check_finite(name: str, content) -> None:
     """Raise ValueError naming artifact ``name`` if its content (a JSON
     payload, a matrix, a (columns, rows) table or a TomographyRecord) holds
-    a non-finite number."""
+    a non-finite number. The items of an iterator are not looked at."""
     if isinstance(content, TomographyRecord):
         content = content.intensities
-    if isinstance(content, dict):
-        content = list(content.values())
-    if isinstance(content, (list, tuple)):
-        for item in content:
-            check_finite(name, item)
-        return
-    if isinstance(content, float):
-        bad = None if math.isfinite(content) else content
-    elif isinstance(content, np.ndarray):
-        bad = _first_non_finite(content)
-    else:
-        return
-    if bad is not None:
-        raise ValueError(f"non-finite value {bad!r} in {name}; no artifact written")
+    pending = [content]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, float):
+            bad = None if math.isfinite(value) else value
+        elif isinstance(value, dict):
+            pending += value.values()
+            continue
+        elif isinstance(value, (list, tuple)):
+            pending += value
+            continue
+        elif isinstance(value, np.ndarray):
+            bad = _first_non_finite(value)
+        else:
+            continue
+        if bad is not None:
+            raise ValueError(f"non-finite value {bad!r} in {name}; no artifact written")
 
 
-def _json_text(value, level: int):
+def _json_text(value, level: int) -> str:
     """JSON text of ``value`` as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
     writes it at nesting depth ``level``, with floating-point ndarrays laid out
-    like their ``tolist()``. Dict keys must be strings.
-
-    Returns a string, or for a large value a list of pieces: strings, and an
-    (array, depth) pair for each array of more than ``_BLOCK`` elements, which
-    is only checked here and written by ``_write_rows``."""
+    like their ``tolist()``. Dict keys must be strings."""
     if isinstance(value, str):
         return _encode(value)
     if value is None:
@@ -229,11 +230,6 @@ def _json_text(value, level: int):
     if isinstance(value, np.ndarray):
         if value.dtype.kind != "f":
             raise TypeError(f"array leaves must be floating point, not {value.dtype}")
-        if value.size > _BLOCK:
-            bad = _first_non_finite(value)
-            if bad is not None:
-                raise _non_finite(bad)
-            return [(value, level)]
         flat = value.ravel().tolist()
         text = _array_template(value.shape, level) % tuple(map(float.__repr__, flat))
         if "n" in text:  # only "nan", "inf" and "-inf" among float reprs hold an "n"
@@ -242,39 +238,30 @@ def _json_text(value, level: int):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return _enclose("[]", None, [_json_text(item, level + 1) for item in value], level)
+        return _enclose("[]", [_json_text(item, level + 1) for item in value], level)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        keys = sorted(value)
-        return _enclose("{}", keys, [_json_text(value[key], level + 1) for key in keys], level)
+        items = [_encode(key) + ": " + _json_text(value[key], level + 1) for key in sorted(value)]
+        return _enclose("{}", items, level)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _enclose(brackets: str, keys: Optional[list], items: list, level: int):
-    """The ``_json_text`` of a list's ``items``, or of a dict's ``items``
-    under their ``keys``, between ``brackets`` at depth ``level``: one
-    string, or pieces where an item is pieces or where more than
-    ``_FEW_ITEMS`` items run past ``_TEXT_BLOCK`` characters."""
+def _enclose(brackets: str, items: list, level: int) -> str:
+    """The texts ``items`` of a container's items between ``brackets`` at depth ``level``."""
     pad = "\n" + _JSON_INDENT * (level + 1)
-    close = "\n" + _JSON_INDENT * level + brackets[1]
-    if len(items) <= _FEW_ITEMS or sum(map(len, items)) <= _TEXT_BLOCK:
-        try:
-            if keys is not None:
-                items = [_encode(key) + ": " + item for key, item in zip(keys, items)]
-            return brackets[0] + pad + ("," + pad).join(items) + close
-        except TypeError:  # an item is pieces, which str + and join refuse
-            pass
-    pieces = []
-    for index, item in enumerate(items):
-        label = _encode(keys[index]) + ": " if keys else ""
-        pieces.append(("," if index else brackets[0]) + pad + label)
-        if isinstance(item, list):
-            pieces += item
-        else:
-            pieces.append(item)
-    pieces.append(close)
-    return pieces
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + _JSON_INDENT * level + brackets[1]
+
+
+def _streamed(value) -> bool:
+    """Whether ``_write_value`` writes ``value`` in parts rather than as one string."""
+    if isinstance(value, np.ndarray):
+        return value.size > _BLOCK
+    if isinstance(value, dict):
+        return len(value) > _FEW_ITEMS or any(map(_streamed, value.values()))
+    if isinstance(value, (list, tuple)):
+        return len(value) > _FEW_ITEMS or any(map(_streamed, value))
+    return isinstance(value, Iterator)
 
 
 def _write_rows(handle, array: np.ndarray, level: int) -> None:
@@ -289,29 +276,53 @@ def _write_rows(handle, array: np.ndarray, level: int) -> None:
     handle.write("\n" + _JSON_INDENT * level + "]")
 
 
+def _write_value(handle, value, level: int) -> None:
+    """Write the ``_json_text`` of ``value`` at depth ``level``, taking an
+    iterator for the list of its items. A large array is written a block of
+    rows at a time; a container of many items, or an iterator, an item at a
+    time with each item as one string; a container of few items that holds
+    either of these an item at a time; anything else as one string."""
+    if not _streamed(value):
+        handle.write(_json_text(value, level))
+        return
+    if isinstance(value, np.ndarray):
+        _write_rows(handle, value, level)
+        return
+    if isinstance(value, dict):
+        brackets, items = "{}", [(_encode(key) + ": ", value[key]) for key in sorted(value)]
+    else:
+        brackets, items = "[]", (("", item) for item in value)
+    whole = isinstance(value, Iterator) or len(value) > _FEW_ITEMS
+    pad = "\n" + _JSON_INDENT * (level + 1)
+    opening = brackets[0]
+    for label, item in items:
+        handle.write(opening + pad + label)
+        opening = ","
+        if whole:
+            handle.write(_json_text(item, level + 1))
+        else:
+            _write_value(handle, item, level + 1)
+    handle.write("\n" + _JSON_INDENT * level + brackets[1] if opening == "," else brackets)
+
+
 def write_json(path, payload: dict, digest: Optional[str] = None) -> None:
     """Payload under a ``meta`` object, byte for byte as
     ``json.dumps(document, indent=2, sort_keys=True, allow_nan=False)`` would
-    write it with every ndarray replaced by its ``tolist()``. The whole
-    document is checked before the file is opened: a non-finite number
-    raises ValueError naming the file and writes nothing. The text is then
-    written piece by piece, and large arrays a block of rows at a time, so
-    that no text is held twice and memory does not grow with array size."""
+    write it with every ndarray replaced by its ``tolist()`` and every
+    iterator by a list of its items. The document is checked before the file
+    is opened: a non-finite number raises ValueError naming the file and
+    writes nothing. The items of an iterator are formatted as they come, so
+    whoever builds them checks what they are built from. The text is written
+    as it is formatted (see ``_write_value``), and none of it is kept, so
+    that memory grows neither with array size nor with item count."""
     meta = {"tool_version": TOOL_VERSION}
     if digest is not None:
         meta["config_sha256"] = digest
     document = {"meta": meta}
     document.update(payload)
-    try:
-        text = _json_text(document, 0)
-    except ValueError as exc:
-        raise ValueError(f"{Path(path).name}: {exc}") from None
+    check_finite(Path(path).name, document)
     with open(path, "w") as handle:
-        for piece in [text] if isinstance(text, str) else text:
-            if isinstance(piece, str):
-                handle.write(piece)
-            else:
-                _write_rows(handle, *piece)
+        _write_value(handle, document, 0)
         handle.write("\n")
 
 
@@ -360,11 +371,12 @@ def write_record_csv(path, record: TomographyRecord, digest: Optional[str] = Non
 
 _RECORD_DTYPE = np.dtype(
     [
-        ("in_port", np.int64),
-        # two characters, so that a longer field cannot pass as its first letter
-        ("state", "U2"),
-        ("out_port", np.int64),
-        ("analyzer", "U2"),
+        ("in_port", np.int32),
+        # two bytes, so that a longer field cannot pass as its first letter; a
+        # field that Latin-1 cannot encode fails the parse
+        ("state", "S2"),
+        ("out_port", np.int32),
+        ("analyzer", "S2"),
         ("intensity", np.float64),
     ]
 )
@@ -374,7 +386,7 @@ def _state_index(field: np.ndarray) -> np.ndarray:
     """Position in STATE_ORDER of each state in ``field``; len(STATE_ORDER) where unknown."""
     index = np.full(field.shape, len(STATE_ORDER), dtype=np.uint8)
     for position, state in enumerate(STATE_ORDER):
-        index[field == state] = position
+        index[field == state.encode()] = position
     return index
 
 

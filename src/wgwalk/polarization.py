@@ -13,6 +13,8 @@ states are L = (|H> + i|V>)/sqrt(2) and R = (|H> - i|V>)/sqrt(2).
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -28,6 +30,10 @@ PASSIVITY_TOL = 1e-9
 DEGENERATE_TOL = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
+
+# Noise is drawn this many values at a time; even, so that a chunk holds whole
+# Box-Muller pairs and the values do not depend on it.
+_NOISE_CHUNK = 1 << 13
 
 STATE_ORDER = ("H", "V", "D", "A", "L", "R")
 
@@ -183,17 +189,36 @@ def build_polarized_chip(
     return JonesTransfer(attenuation[:, None] * propagated)
 
 
+def standard_normal(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` standard normal draws from ``rng``.
+
+    Each pair of 64-bit MT19937 words gives two 53-bit uniforms, and Box-Muller
+    turns them into two normals, which land at consecutive positions; an odd
+    count drops the second normal of the last pair.
+    """
+    words = np.frombuffer(rng.randbytes(16 * ((count + 1) // 2)), dtype="<u8")
+    uniform = (words >> np.uint64(11)) * 2.0**-53  # in [0, 1)
+    radius = np.sqrt(-2.0 * np.log1p(-uniform[0::2]))
+    angle = 2.0 * math.pi * uniform[1::2]
+    normals = np.empty(2 * radius.size)
+    normals[0::2] = radius * np.cos(angle)
+    normals[1::2] = radius * np.sin(angle)
+    return normals[:count]
+
+
 def simulate_tomography(
     chip: JonesTransfer,
     photometric_noise: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
+    rng: Optional[random.Random] = None,
 ) -> TomographyRecord:
     """Six-state, six-analyzer tomography record of a Jones transfer.
 
     Every input port is excited with the six canonical polarization states;
     every output port is projected onto the same six analyzer states.
     ``photometric_noise`` is the relative sigma of multiplicative Gaussian
-    intensity noise (clipped at zero); 0 gives the exact noiseless record.
+    intensity noise (clipped at zero), drawn from ``rng`` (a fresh unseeded
+    ``random.Random`` when None) by ``standard_normal`` in the C order of the
+    record; 0 gives the exact noiseless record.
     """
     if photometric_noise < 0:
         raise ValueError("photometric_noise must be nonnegative")
@@ -201,11 +226,18 @@ def simulate_tomography(
     jones = np.stack([JONES_STATES[s] for s in STATE_ORDER])
     blocks = chip.matrix.reshape(n, 2, n, 2)  # out port, out pol, in port, in pol
     fields = np.einsum("kpjq,sq->jskp", blocks, jones)  # in port, state, out port, out pol
-    record = np.abs(fields @ jones.conj().T) ** 2
+    analyzers = jones.conj().T
+    record = np.empty((n, 6, n, 6))
+    for port, field in enumerate(fields):  # bounds the complex amplitudes to one input port
+        np.abs(field @ analyzers, out=record[port])
+    record **= 2
     if photometric_noise > 0:
-        rng = np.random.default_rng() if rng is None else rng
-        record = record * (1.0 + photometric_noise * rng.standard_normal(record.shape))
-        record = np.clip(record, 0.0, None)
+        rng = random.Random() if rng is None else rng
+        flat = record.reshape(-1)  # a view: the noise is applied in place
+        for start in range(0, flat.size, _NOISE_CHUNK):
+            chunk = flat[start : start + _NOISE_CHUNK]
+            chunk *= 1.0 + photometric_noise * standard_normal(rng, chunk.size)
+        np.maximum(flat, 0.0, out=flat)
     return TomographyRecord(record)
 
 

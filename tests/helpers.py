@@ -6,8 +6,8 @@ an eigendecomposition, two-photon statistics come from brute-force Fock-space
 evolution, the z-ordered product is the one-segment-at-a-time loop, and
 Stokes vectors of pure fields and Mueller matrices of Jones blocks are
 computed from first principles. The single-photon helpers, the raised-sine
-path, the scaled fan-in config and the tracemalloc peak are conveniences that
-only the tests use.
+path, the scaled fan-in and ellipse configs and the tracemalloc peak are
+conveniences that only the tests use.
 """
 
 from __future__ import annotations
@@ -45,6 +45,21 @@ def scaled_fanin_walk(factor: int, steps: int = 1024) -> dict:
         ellipse["semi_major_um"] *= factor
         ellipse["semi_minor_um"] *= factor
     raw["steps"] = steps
+    return raw
+
+
+def scaled_ellipse_walk(factor: int, noise: float = 0.01) -> dict:
+    """configs/ellipse_walk.json with ``factor`` times the cores on an ellipse
+    ``factor`` times as large, its per-guide polarization vectors repeated,
+    and ``noise`` as its photometric noise."""
+    raw = json.loads((CONFIGS / "ellipse_walk.json").read_text())
+    raw["layout"]["count"] *= factor
+    raw["layout"]["semi_major_um"] *= factor
+    raw["layout"]["semi_minor_um"] *= factor
+    pol = raw["polarization"]
+    for key in ("birefringence_per_mm", "pol_rotation_per_mm", "loss_h", "loss_v"):
+        pol[key] *= factor
+    pol["photometric_noise"] = noise
     return raw
 
 

@@ -4,6 +4,7 @@ tolerance, printing one PASS/FAIL line per criterion (run with
 
 import json
 import math
+import random
 import time
 from contextlib import contextmanager
 
@@ -162,6 +163,7 @@ def test_criterion_6_tomography_round_trip():
     with criterion(6, "Mueller tomography round-trip, noiseless and 1% noise", 60.0):
         rng = np.random.default_rng(606)
         chips = [random_chip(rng) for _ in range(50)]
+        noise = random.Random(606)
         noise_errors = []
         for chip in chips:
             truth = np.stack(
@@ -174,7 +176,7 @@ def test_criterion_6_tomography_round_trip():
             )
             exact, _ = reconstruct_mueller(simulate_tomography(chip))
             assert np.max(np.abs(exact - truth)) < 1e-8
-            noisy, _ = reconstruct_mueller(simulate_tomography(chip, 0.01, rng))
+            noisy, _ = reconstruct_mueller(simulate_tomography(chip, 0.01, noise))
             noise_errors.append(np.abs(noisy - truth))
         assert np.median(np.asarray(noise_errors)) < 0.02
 

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from wgwalk import cli, io
 from wgwalk.cli import main
-from wgwalk.config import parse_run_config
+from wgwalk.config import load_run_config, parse_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
-from wgwalk.polarization import extract_h_subspace
+from wgwalk.polarization import extract_h_subspace, poincare_ellipsoid, reconstruct_mueller
 from wgwalk.propagation import MAX_STEPS, unitary
 from wgwalk.twophoton import gamma_indistinguishable, similarity, visibility
 
@@ -26,6 +26,7 @@ from helpers import (
     complex_matrix_from_payload,
     paper_ellipse,
     read_table_csv,
+    scaled_ellipse_walk,
     scaled_fanin_walk,
     traced_peak,
 )
@@ -454,6 +455,11 @@ class TestTomographyCommand:
         "two_letter_state": (lambda f: f[:1] + ["HV"] + f[2:], "unknown polarization state"),
         "two_letter_analyzer": (lambda f: f[:3] + ["HV"] + f[4:], "unknown polarization state"),
         "port_zero": (lambda f: ["0"] + f[1:], "port index out of range"),
+        # ports parse as int32 and states as two Latin-1 bytes
+        "port_above_int32": (lambda f: ["2147483648"] + f[1:], "malformed record row"),
+        "non_latin1_state": (lambda f: f[:1] + ["中"] + f[2:], "malformed record row"),
+        "non_latin1_analyzer": (lambda f: f[:3] + ["Ω"] + f[4:], "malformed record row"),
+        "latin1_state": (lambda f: f[:1] + ["é"] + f[2:], "unknown polarization state"),
         "duplicate_row": (lambda f: ["1", "H", "1", "H", f[4]], "repeated record entry"),
     }
     def run_with_bad_row(self, tmp_path, edit):
@@ -566,6 +572,55 @@ class TestTomographyCommand:
         assert (tmp_path / "a" / "tomography_record.csv").read_bytes() != (
             tmp_path / "b" / "tomography_record.csv"
         ).read_bytes()
+
+    def test_48_port_report_builds_its_ellipsoids_a_row_at_a_time(self, tmp_path):
+        # building all 2,304 per-pair dicts, then the 2.9 MB text, traced 6.6 MB here
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, scaled_ellipse_walk(8))
+        assert main(["tomography", "--config", cfg_path, "--out", str(out)]) == 0
+        cfg = load_run_config(cfg_path, out=str(out))
+
+        def report():
+            for name, payload in cli.cmd_tomography_report(cfg).items():
+                io.write_json(out / name, payload, cfg.digest)
+
+        assert traced_peak(report) < 3_500_000
+        record = io.read_record_csv(out / cli.RECORD_FILENAME)
+        e = poincare_ellipsoid(reconstruct_mueller(record)[0])
+        eager = [
+            [
+                {
+                    "output_port": o + 1,
+                    "input_port": i + 1,
+                    "center": e.center[o, i].tolist(),
+                    "semi_axes": e.semi_axes[o, i].tolist(),
+                    "orientation": e.orientation[o, i].tolist(),
+                    "markers": {s: v[o, i].tolist() for s, v in e.markers.items()},
+                    "average_power": float(e.average_power[o, i]),
+                    "degenerate": bool(e.degenerate[o, i]),
+                }
+                for i in range(48)
+            ]
+            for o in range(48)
+        ]
+        meta = {"config_sha256": cfg.digest, "tool_version": io.TOOL_VERSION}
+        expected = json.dumps({"meta": meta, "ellipsoids": eager}, indent=2, sort_keys=True)
+        assert (out / "ellipsoids.json").read_text() == expected + "\n"
+
+    def test_non_finite_ellipsoid_writes_no_report(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_config(tmp_path, self.pol_config(tmp_path / "run"))
+        assert main(["tomography", "--config", cfg_path, "--mode", "simulate"]) == 0
+
+        def poisoned(matrices):
+            e = poincare_ellipsoid(matrices)
+            e.markers["R"][-1, -1, -1] = np.nan
+            return e
+
+        monkeypatch.setattr(cli, "poincare_ellipsoid", poisoned)
+        assert main(["tomography", "--config", cfg_path, "--mode", "report"]) == 3
+        assert "non-finite value nan in ellipsoids.json" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "ellipsoids.json").exists()
+        assert not (tmp_path / "run" / "pdl.json").exists()
 
     def test_missing_polarization_section(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config(tmp_path / "run"))
@@ -750,6 +805,30 @@ class TestStartup:
             result = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
             assert "'_hashlib'" not in result.stdout.splitlines()[-1]
         assert (tmp_path / "layout.json").is_file()
+
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+        reason="this interpreter has no built-in SHA-256",
+    )
+    def test_noisy_simulate_loads_neither_numpy_random_nor_openssl(self, tmp_path):
+        # numpy.random imports secrets -> hmac -> _hashlib, which loads libcrypto
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONPROFILEIMPORTTIME="1")
+        command = ["tomography", "--config", str(CONFIGS / "ellipse_walk.json")]
+        argv = [sys.executable, "-m", "wgwalk.cli", *command, "--noise", "0.01"]
+        result = subprocess.run(
+            argv + ["--out", str(tmp_path / "noisy")], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        imported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()}
+        assert "numpy" in imported
+        assert not {"numpy.random", "_hashlib"} & imported
+        assert main(command + ["--out", str(tmp_path / "exact")]) == 0
+        noisy, exact = (
+            io.read_record_csv(tmp_path / run / cli.RECORD_FILENAME).intensities
+            for run in ("noisy", "exact")
+        )
+        assert not np.array_equal(noisy, exact)
 
     @staticmethod
     def _after_import(**preset):
@@ -944,17 +1023,26 @@ def test_overflowing_coupling_law_is_numerical_failure(tmp_path, capsys, name, c
 
 @pytest.mark.parametrize("command", ["layout", "propagate"])
 def test_impossible_allocation_is_numerical_failure(tmp_path, capsys, command):
-    # numpy refuses layout's 10^12 samples without allocating any memory;
-    # the fan-in product refuses the step count before it forms any array
-    message = {
-        "layout": "error: Unable to allocate",
-        "propagate": f"error: steps {10**12} exceeds the cap of {MAX_STEPS} segments",
-    }[command]
+    # layout's profile samples and the fan-in product both refuse the step
+    # count before they form any array
     out = tmp_path / "run"
     argv = ["--config", str(CONFIGS / "fanin_walk.json"), "--out", str(out)]
     assert main([command] + argv + ["--steps", str(10**12)]) == 3
+    message = f"error: steps {10**12} exceeds the cap of {MAX_STEPS} segments"
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
+
+
+def test_layout_steps_above_cap_exit_before_sampling(tmp_path, capsys):
+    # one step over the cap would be 2^20 samples of six cores, 100 MB of positions
+    out = tmp_path / "run"
+    argv = ["layout", "--config", str(CONFIGS / "fanin_walk.json"), "--out", str(out)]
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv + ["--steps", str(MAX_STEPS + 1)])))
+    assert codes == [3] and peak < 1_000_000
+    assert f"steps {MAX_STEPS + 1} exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--steps", "64"]) == 0
 
 
 def _reuse_config(tmp_path, name):

@@ -1,6 +1,10 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
+from wgwalk import polarization
 from wgwalk.config import parse_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import elliptical_layout, fan_in_layout, linear_layout
@@ -222,8 +226,8 @@ class TestSimulateTomography:
 
     def test_noise_reproducible_with_seeded_rng(self):
         chip = random_chip(np.random.default_rng(17))
-        r1 = simulate_tomography(chip, 0.01, np.random.default_rng(99))
-        r2 = simulate_tomography(chip, 0.01, np.random.default_rng(99))
+        r1 = simulate_tomography(chip, 0.01, random.Random(99))
+        r2 = simulate_tomography(chip, 0.01, random.Random(99))
         np.testing.assert_array_equal(r1.intensities, r2.intensities)
         r0 = simulate_tomography(chip)
         assert np.max(np.abs(r1.intensities - r0.intensities)) > 1e-4
@@ -231,6 +235,59 @@ class TestSimulateTomography:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             simulate_tomography(identity_chip(), -0.1)
+
+
+class TestPhotometricNoise:
+    """Multiplicative noise: MT19937 words, 53-bit uniforms, Box-Muller pairs."""
+
+    @pytest.mark.parametrize("chunk", [2, 6, 100, 1 << 16])
+    def test_values_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
+        chip = random_chip(np.random.default_rng(7), n_ports=3)
+        expected = simulate_tomography(chip, 0.05, random.Random(11)).intensities
+        monkeypatch.setattr(polarization, "_NOISE_CHUNK", chunk)
+        got = simulate_tomography(chip, 0.05, random.Random(11)).intensities
+        assert got.tobytes() == expected.tobytes()
+
+    def test_odd_count_is_a_prefix_of_the_even_one(self):
+        odd = polarization.standard_normal(random.Random(3), 7)
+        even = polarization.standard_normal(random.Random(3), 8)
+        assert odd.tobytes() == even[:7].tobytes()
+
+    def test_draws_are_standard_normal(self):
+        draws = polarization.standard_normal(random.Random(2026), 10**5)
+        assert abs(np.mean(draws)) < 0.01
+        assert abs(np.std(draws) - 1.0) < 0.01
+        # Kolmogorov-Smirnov distance to the normal CDF, and no pairing between
+        # the two normals of each Box-Muller pair
+        ordered = np.sort(draws)
+        cdf = 0.5 * (1.0 + np.array([math.erf(x / math.sqrt(2.0)) for x in ordered]))
+        ranks = np.arange(1, draws.size + 1) / draws.size
+        assert np.max(np.abs(cdf - ranks)) < 0.01
+        assert abs(np.corrcoef(draws[0::2], draws[1::2])[0, 1]) < 0.02
+
+    def test_record_carries_the_requested_spread(self):
+        # the noise must land in the returned record, not in a copy of it
+        chip = random_chip(np.random.default_rng(19), n_ports=8)
+        exact = simulate_tomography(chip).intensities
+        noisy = simulate_tomography(chip, 0.02, random.Random(1)).intensities
+        live = exact > 1e-9 * exact.max()
+        ratio = noisy[live] / exact[live] - 1.0
+        assert 0.9 * 0.02 <= np.std(ratio) <= 1.1 * 0.02
+
+    def test_dark_entries_stay_zero(self):
+        exact = simulate_tomography(identity_chip()).intensities
+        noisy = simulate_tomography(identity_chip(), 0.05, random.Random(4)).intensities
+        dark = exact == 0.0
+        assert dark.any() and np.all(noisy[dark] == 0.0)
+        assert np.all(noisy[~dark] != exact[~dark])
+
+    def test_unseeded_rng_runs(self):
+        chip = identity_chip(2)
+        exact = simulate_tomography(chip).intensities
+        first = simulate_tomography(chip, 0.01).intensities
+        second = simulate_tomography(chip, 0.01).intensities
+        assert np.all(first >= 0) and first.shape == exact.shape
+        assert not np.array_equal(first, exact) and not np.array_equal(first, second)
 
 
 class TestReconstructMueller:
@@ -268,7 +325,7 @@ class TestReconstructMueller:
     def test_noisy_record_reports_nonzero_residual(self):
         chip = random_chip(np.random.default_rng(23))
         _, residuals = reconstruct_mueller(
-            simulate_tomography(chip, 0.01, np.random.default_rng(1))
+            simulate_tomography(chip, 0.01, random.Random(1))
         )
         assert np.max(residuals) > 1e-6
 
@@ -282,8 +339,8 @@ class TestReconstructMueller:
         assert np.max(others) <= 1e-12
 
     def test_noise_error_statistics_bounded(self):
-        rng = np.random.default_rng(29)
-        chip = random_chip(rng)
+        chip = random_chip(np.random.default_rng(29))
+        noise = random.Random(29)
         truth = np.stack(
             [
                 np.stack([jones_to_mueller(port_block(chip, i, j)) for j in range(6)])
@@ -292,7 +349,7 @@ class TestReconstructMueller:
         )
         errors = []
         for _ in range(100):
-            matrices, _ = reconstruct_mueller(simulate_tomography(chip, 0.01, rng))
+            matrices, _ = reconstruct_mueller(simulate_tomography(chip, 0.01, noise))
             errors.append(np.abs(matrices - truth))
         errors = np.asarray(errors)
         assert np.median(errors) < 0.02
@@ -363,7 +420,8 @@ class TestPoincareEllipsoid:
 
     def test_stack_bit_equal_to_per_matrix_reference(self):
         rng = np.random.default_rng(43)
-        reconstructed, _ = reconstruct_mueller(simulate_tomography(random_chip(rng), 0.01, rng))
+        noisy = simulate_tomography(random_chip(rng), 0.01, random.Random(43))
+        reconstructed, _ = reconstruct_mueller(noisy)
         matrices = np.concatenate(
             [reconstructed.reshape(-1, 4, 4), rng.standard_normal((264, 4, 4))]
         )
@@ -446,7 +504,7 @@ class TestPdlReport:
         loss_v = np.ones(6)
         loss_v[5] = np.sqrt(1.0 - 0.38)
         chip = build_polarized_chip(layout, model, model, loss_v=loss_v, z=1.0)
-        rng = np.random.default_rng(43)
+        rng = random.Random(43)
         reports = [
             pdl_report(simulate_tomography(chip, 0.01, rng))[5] for _ in range(100)
         ]
