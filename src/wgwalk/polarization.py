@@ -218,17 +218,19 @@ def simulate_tomography(
     ``photometric_noise`` is the relative sigma of multiplicative Gaussian
     intensity noise (clipped at zero), drawn from ``rng`` (a fresh unseeded
     ``random.Random`` when None) by ``standard_normal`` in the C order of the
-    record; 0 gives the exact noiseless record.
+    record; 0 gives the exact noiseless record, and a sigma so large that a
+    noisy intensity overflows raises ValueError. The complex fields are formed
+    one input port at a time.
     """
     if photometric_noise < 0:
         raise ValueError("photometric_noise must be nonnegative")
     n = chip.n_ports
     jones = np.stack([JONES_STATES[s] for s in STATE_ORDER])
     blocks = chip.matrix.reshape(n, 2, n, 2)  # out port, out pol, in port, in pol
-    fields = np.einsum("kpjq,sq->jskp", blocks, jones)  # in port, state, out port, out pol
     analyzers = jones.conj().T
     record = np.empty((n, 6, n, 6))
-    for port, field in enumerate(fields):  # bounds the complex amplitudes to one input port
+    for port in range(n):
+        field = np.einsum("kpq,sq->skp", blocks[:, :, port], jones)  # state, out port, out pol
         np.abs(field @ analyzers, out=record[port])
     record **= 2
     if photometric_noise > 0:
@@ -236,7 +238,12 @@ def simulate_tomography(
         flat = record.reshape(-1)  # a view: the noise is applied in place
         for start in range(0, flat.size, _NOISE_CHUNK):
             chunk = flat[start : start + _NOISE_CHUNK]
-            chunk *= 1.0 + photometric_noise * standard_normal(rng, chunk.size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                chunk *= 1.0 + photometric_noise * standard_normal(rng, chunk.size)
+            if not np.isfinite(chunk).all():
+                raise ValueError(
+                    f"photometric_noise {photometric_noise!r} overflows a noisy tomography intensity"
+                )
         np.maximum(flat, 0.0, out=flat)
     return TomographyRecord(record)
 
@@ -265,15 +272,20 @@ def reconstruct_mueller(record: TomographyRecord) -> Tuple[np.ndarray, np.ndarra
     noise. Returns ``(matrices, residuals)``: ``matrices[i, j]`` of shape
     (N, N, 4, 4) maps input-port-j Stokes vectors to output-port-i ones, and
     ``residuals[i, j]`` of shape (N, N) is that pair's rms equation residual.
+    The problems are solved one input port at a time, so the temporaries hold
+    N, not N**2, port pairs.
     """
     n = record.n_ports
-    # One least-squares problem with a column per (out, in, component).
-    rhs = (record.intensities @ _ANALYZER_STOKES).transpose(1, 2, 0, 3).reshape(6, -1)
-    solution = np.linalg.lstsq(_STOKES_INPUTS, rhs, rcond=None)[0]
-    matrices = np.ascontiguousarray(solution.T).reshape(n, n, 4, 4)
-    misfit = (_STOKES_INPUTS @ solution - rhs).reshape(6, n, n, 4)
-    misfit = np.moveaxis(misfit, 0, 2).reshape(n, n, 24)  # rows hold (state, component)
-    residuals = np.sqrt(np.mean(misfit**2, axis=-1))
+    matrices = np.empty((n, n, 4, 4))
+    residuals = np.empty((n, n))
+    for port, intensities in enumerate(record.intensities):
+        # One least-squares problem with a column per (out, component).
+        rhs = (intensities @ _ANALYZER_STOKES).reshape(6, -1)
+        solution = np.linalg.lstsq(_STOKES_INPUTS, rhs, rcond=None)[0]
+        matrices[:, port] = solution.T.reshape(n, 4, 4)
+        misfit = (_STOKES_INPUTS @ solution - rhs).reshape(6, n, 4)
+        misfit = np.moveaxis(misfit, 0, 1).reshape(n, 24)  # rows hold (state, component)
+        residuals[:, port] = np.sqrt(np.mean(misfit**2, axis=-1))
     return matrices, residuals
 
 

@@ -22,14 +22,16 @@ from .geometry import WaveguideLayout
 HERMITICITY_TOL = 1e-12
 
 # Segments whose generators z_ordered_product samples and exponentiates
-# together. A batch holds about BATCH_ELEMENTS matrix elements (32 segments of
+# together. A batch holds about BATCH_ELEMENTS matrix elements (16 segments of
 # 24 x 24), so that its temporaries, a few copies of the stack, do not grow
-# with the matrix size n; but at least MIN_BATCH_SEGMENTS segments, so that
-# large generators (48 x 48 and up) do not pay the fixed cost of a batch per
-# segment or two. The first batch holds MIN_BATCH_SEGMENTS, as n is read from
-# its shape.
-BATCH_ELEMENTS = 18_432
-MIN_BATCH_SEGMENTS = 8
+# with the matrix size n, and each float64 one (72 KiB) stays below glibc's
+# 128 KiB mmap threshold, so that it reuses heap memory instead of mapping
+# fresh pages; but at least MIN_BATCH_SEGMENTS segments, so that large
+# generators (48 x 48 and up) do not pay the fixed cost of a batch per
+# segment. The first batch holds MIN_BATCH_SEGMENTS, as n is read from its
+# shape.
+BATCH_ELEMENTS = 9_216
+MIN_BATCH_SEGMENTS = 4
 
 # Most segments z_ordered_product accepts: 256 times the most that a shipped
 # or benchmark chip uses (4,096). At about 8 us a segment for 6 x 6 and
@@ -143,7 +145,7 @@ def z_ordered_product(
     evaluation. The first batch holds ``MIN_BATCH_SEGMENTS`` segments and
     each later one ``max(MIN_BATCH_SEGMENTS, BATCH_ELEMENTS // n**2)``, so
     a batch holds about BATCH_ELEMENTS matrix elements up to n = 48 and
-    8 n**2 above, whatever ``steps``. Each segment is scaled on its own, so
+    4 n**2 above, whatever ``steps``. Each segment is scaled on its own, so
     the result does not depend on the batching. A non-finite or non-Hermitian
     generator, or ``steps`` above ``MAX_STEPS``, raises ValueError.
     """

@@ -139,8 +139,10 @@ _FIT_FTOL = 1e-15
 _FIT_ROUNDOFF = 4.0 * np.finfo(float).eps
 _FIT_DAMPING = 1e-3
 _FIT_SAME_DELAY = 1e-9
-# Pairs fitted in one batch: its arrays peak at about 9 kB per pair at 81 delays.
-_FIT_CHUNK = 256
+# Pairs fitted in one batch: its arrays peak at about 9 kB per pair at 81
+# delays, and its (P, T, 3) Jacobian (122 KiB at 81 delays) stays below
+# glibc's 128 KiB mmap threshold, so that it reuses heap memory.
+_FIT_CHUNK = 64
 
 
 def _dip_terms(params: np.ndarray, t: np.ndarray, y: np.ndarray):
@@ -169,10 +171,10 @@ def _fit_visibility(delays: np.ndarray, counts: np.ndarray, width_guess: float) 
     pairs at a time. Each pair's iterates depend on that pair alone, so the
     chunks give the bits of one batch over all P pairs, at a fraction of its
     memory: for the 1,176 pairs of a 48-port chip over 81 delays the fit
-    traces 1.4-2.3 MB, where one batch traced 8.6-15.7 MB. A flat column
-    gives 0.0, or NaN without coincidences. The model depends on t only
-    through t**2, so its three parameters need at least three distinct |t|;
-    fewer raise ValueError.
+    traces 0.4-0.6 MB, where chunks of 256 pairs traced 1.4-2.3 MB and one
+    batch 8.6-15.7 MB. A flat column gives 0.0, or NaN without coincidences.
+    The model depends on t only through t**2, so its three parameters need at
+    least three distinct |t|; fewer raise ValueError.
     """
     t = np.asarray(delays, dtype=float)
     magnitudes = np.sort(np.abs(t))

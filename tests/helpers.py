@@ -5,23 +5,35 @@ exponential uses scaling-and-squaring of a truncated Taylor series instead of
 an eigendecomposition, two-photon statistics come from brute-force Fock-space
 evolution, the z-ordered product is the one-segment-at-a-time loop, and
 Stokes vectors of pure fields and Mueller matrices of Jones blocks are
-computed from first principles. The single-photon helpers, the raised-sine
-path, the scaled fan-in and ellipse configs and the tracemalloc peak are
-conveniences that only the tests use.
+computed from first principles, and tomography is simulated for every input
+port at once and reconstructed by one least-squares call on the whole
+record. The single-photon helpers, the raised-sine path, the scaled fan-in
+and ellipse configs and the tracemalloc peak are conveniences that only the
+tests use.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from wgwalk import polarization
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import WaveguideLayout, _raised_sine, elliptical_layout
-from wgwalk.polarization import STATE_ORDER, STOKES_STATES, JonesTransfer, build_polarized_chip
+from wgwalk.polarization import (
+    JONES_STATES,
+    STATE_ORDER,
+    STOKES_STATES,
+    JonesTransfer,
+    TomographyRecord,
+    build_polarized_chip,
+    standard_normal,
+)
 from wgwalk.propagation import evolve_amplitudes, unitary
 from wgwalk.twophoton import _validated_inputs
 
@@ -328,3 +340,37 @@ def port_block(chip: JonesTransfer, out_port: int, in_port: int) -> np.ndarray:
     """2 x 2 Jones block from one input port to one output port."""
     r, c = 2 * out_port, 2 * in_port
     return chip.matrix[r : r + 2, c : c + 2]
+
+
+def simulate_tomography_all_ports(
+    chip: JonesTransfer, photometric_noise: float = 0.0, rng: Optional[random.Random] = None
+) -> TomographyRecord:
+    """Tomography record with the fields of every input port formed at once
+    and the noise drawn in one call."""
+    n = chip.n_ports
+    jones = np.stack([JONES_STATES[s] for s in STATE_ORDER])
+    blocks = chip.matrix.reshape(n, 2, n, 2)  # out port, out pol, in port, in pol
+    fields = np.einsum("kpjq,sq->jskp", blocks, jones)  # in port, state, out port, out pol
+    analyzers = jones.conj().T
+    record = np.empty((n, 6, n, 6))
+    for port, field in enumerate(fields):
+        np.abs(field @ analyzers, out=record[port])
+    record **= 2
+    if photometric_noise > 0:
+        flat = record.reshape(-1)
+        flat *= 1.0 + photometric_noise * standard_normal(rng, flat.size)
+        np.maximum(flat, 0.0, out=flat)
+    return TomographyRecord(record)
+
+
+def reconstruct_mueller_one_shot(record: TomographyRecord):
+    """Mueller matrices and residuals from one least-squares call with a
+    column per (output port, input port, component)."""
+    n = record.n_ports
+    design = polarization._STOKES_INPUTS
+    rhs = (record.intensities @ polarization._ANALYZER_STOKES).transpose(1, 2, 0, 3).reshape(6, -1)
+    solution = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    matrices = np.ascontiguousarray(solution.T).reshape(n, n, 4, 4)
+    misfit = (design @ solution - rhs).reshape(6, n, n, 4)
+    misfit = np.moveaxis(misfit, 0, 2).reshape(n, n, 24)  # rows hold (state, component)
+    return matrices, np.sqrt(np.mean(misfit**2, axis=-1))

@@ -573,6 +573,21 @@ class TestTomographyCommand:
             tmp_path / "b" / "tomography_record.csv"
         ).read_bytes()
 
+    def test_overflowing_noise_is_numerical_failure(self, tmp_path, capsys):
+        # sigma 1e308 times a normal draw above 1.8 overflows; this exited 3
+        # with a RuntimeWarning and "non-finite value inf in tomography_record.csv"
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, self.pol_config(out))
+        argv = ["tomography", "--config", cfg_path, "--mode", "simulate", "--noise", "1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == (
+            "error: photometric_noise 1e+308 overflows a noisy tomography intensity\n"
+        )
+        assert not out.exists()
+
     def test_48_port_report_builds_its_ellipsoids_a_row_at_a_time(self, tmp_path):
         # building all 2,304 per-pair dicts, then the 2.9 MB text, traced 6.6 MB here
         out = tmp_path / "run"
@@ -1001,7 +1016,7 @@ def test_tiny_coherence_sigma_gives_finite_scan(tmp_path):
 def test_memory_of_hom_on_a_48_core_fan_in_is_bounded():
     # the fan-in product in batches of 32 segments and the (D, N, N) cube of
     # the scan with its copies traced 6.7 MB here; batches sized by matrix
-    # elements and a scan of the 1,176 output pairs alone about 1.9 MB
+    # elements and a scan of the 1,176 output pairs alone about 1.7 MB
     cfg = parse_run_config(scaled_fanin_walk(8))
     assert traced_peak(lambda: cli.cmd_hom(cfg)) <= 2_500_000
 

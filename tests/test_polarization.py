@@ -1,10 +1,11 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from wgwalk import polarization
+from wgwalk import cli, polarization
 from wgwalk.config import parse_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import elliptical_layout, fan_in_layout, linear_layout
@@ -31,7 +32,11 @@ from helpers import (
     poincare_ellipsoid_reference,
     port_block,
     random_chip,
+    random_unitary,
+    reconstruct_mueller_one_shot,
+    scaled_ellipse_walk,
     scaled_fanin_walk,
+    simulate_tomography_all_ports,
     traced_peak,
 )
 
@@ -183,7 +188,7 @@ class TestBuildPolarizedChip:
 
     def test_memory_of_a_24_core_fan_in_chip_is_bounded(self):
         # batches of 32 segments of the 48 x 48 Jones generator traced 6.7 MB
-        # here; batches sized by matrix elements (8 segments) about 1.9 MB
+        # here; batches sized by matrix elements (4 segments) about 1.1 MB
         cfg = parse_run_config(scaled_fanin_walk(4, steps=256))
         model = cfg.coupling
         peak = traced_peak(lambda: build_polarized_chip(cfg.layout, model, model, steps=cfg.steps))
@@ -235,6 +240,13 @@ class TestSimulateTomography:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             simulate_tomography(identity_chip(), -0.1)
+
+    def test_overflowing_noise_rejected_without_warning(self):
+        # lit entries overflow to +-inf and dark ones to 0 * inf = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"photometric_noise 1e\+308 overflows"):
+                simulate_tomography(identity_chip(), 1e308, random.Random(0))
 
 
 class TestPhotometricNoise:
@@ -366,6 +378,59 @@ class TestReconstructMueller:
                         assert out[0] >= -1e-9
                         if out[0] > 1e-12:
                             assert np.linalg.norm(out[1:]) <= out[0] * (1 + 1e-9)
+
+
+def _ellipse_chip(factor: int):
+    """The Jones chip of configs/ellipse_walk.json scaled to 6 * factor ports."""
+    return cli._build_chip(parse_run_config(scaled_ellipse_walk(factor)))
+
+
+def _lossy_jones_chip(rng: np.random.Generator, n: int) -> JonesTransfer:
+    """A random passive 2n x 2n Jones transfer with unequal mode losses."""
+    return JonesTransfer(0.95 * random_unitary(rng, 2 * n) * rng.uniform(0.3, 1.0, 2 * n))
+
+
+class TestOneInputPortAtATime:
+    """Simulation and reconstruction a port at a time give the bits of the
+    all-ports simulation and of one least-squares call on the whole record."""
+
+    @staticmethod
+    def assert_bit_equal(chip: JonesTransfer, noise: float):
+        record = simulate_tomography(chip, noise, random.Random(8))
+        expected = simulate_tomography_all_ports(chip, noise, random.Random(8))
+        assert np.array_equal(record.intensities, expected.intensities)
+        matrices, residuals = reconstruct_mueller(record)
+        expected_matrices, expected_residuals = reconstruct_mueller_one_shot(record)
+        assert np.array_equal(matrices, expected_matrices)
+        assert np.array_equal(residuals, expected_residuals)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_chips_bit_equal_to_reference(self, n, noise):
+        self.assert_bit_equal(_lossy_jones_chip(np.random.default_rng(n), n), noise)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("factor", [1, 4, 8])
+    def test_scaled_ellipses_bit_equal_to_reference(self, factor, noise):
+        self.assert_bit_equal(_ellipse_chip(factor), noise)
+
+    @pytest.mark.parametrize("n", [3, 6, 24])
+    def test_random_lossy_chips_bit_equal_to_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        self.assert_bit_equal(_lossy_jones_chip(rng, n), 0.02)
+        self.assert_bit_equal(random_chip(rng, n), 0.02)
+
+    def test_48_port_reconstruction_memory_is_bounded(self):
+        # one least-squares call on the whole record traced 1.9 MB here, a
+        # port at a time about 0.4 MB
+        record = simulate_tomography(_ellipse_chip(8), 0.01, random.Random(1))
+        assert traced_peak(lambda: reconstruct_mueller(record)) <= 600_000
+
+    def test_48_port_simulation_memory_is_bounded(self):
+        # the fields of every input port at once traced 1.4 MB here, a port
+        # at a time about 1.0 MB (0.66 MB of it the record)
+        chip = _ellipse_chip(8)
+        assert traced_peak(lambda: simulate_tomography(chip, 0.01, random.Random(1))) <= 1_200_000
 
 
 class TestPoincareEllipsoid:

@@ -374,7 +374,7 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("steps", [1024, 4096])
     def test_memory_of_a_48_core_fan_in_does_not_grow_with_steps(self, steps):
         # batches of 32 segments traced 6.7 MB here; batches sized by matrix
-        # elements (8 segments of 48 x 48) trace about 1.5 MB at any step count
+        # elements (4 segments of 48 x 48) trace about 1.1 MB at any step count
         cfg = parse_run_config(scaled_fanin_walk(8, steps))
         z0, z1 = cfg.layout.z_span
         peak = traced_peak(lambda: propagate_z_dependent(cfg.layout, cfg.coupling, z0, z1, steps))
