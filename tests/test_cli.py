@@ -303,12 +303,12 @@ class TestHomCommand:
         assert main(["hom", "--config", cfg_path]) == 2
         assert "hom.points" in capsys.readouterr().err
 
-    def test_fit_on_two_distinct_delay_magnitudes_is_numerical_failure(self, tmp_path, capsys):
+    def test_fit_on_one_distinct_overlap_value_is_numerical_failure(self, tmp_path, capsys):
         cfg = self.hom_config(tmp_path / "run")
-        cfg["hom"].update(points=4, visibility_mode="fit")
+        cfg["hom"].update(points=2, visibility_mode="fit")
         cfg_path = write_config(tmp_path, cfg)
         assert main(["hom", "--config", cfg_path]) == 3
-        assert "three distinct |delay| values" in capsys.readouterr().err
+        assert "takes fewer than two distinct values" in capsys.readouterr().err
         assert not (tmp_path / "run" / "hom_scan.csv").exists()
 
     def test_fit_mode_on_shipped_ellipse(self, tmp_path):

@@ -234,16 +234,27 @@ class TestVisibility:
         (value,) = visibility(delays, counts[:, None], 1.0, mode="fit")
         assert value == pytest.approx(-0.5, abs=1e-6)
 
-    @pytest.mark.parametrize("points", [3, 4])
-    def test_fit_rejects_fewer_than_three_distinct_delay_magnitudes(self, points):
-        # |t| = 4, 0, 4 and 4, 4/3, 4/3, 4 (the two 4/3 one ulp apart)
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_fit_rejects_an_overlap_of_fewer_than_two_distinct_values(self, points):
+        # t = -4 and t = -4, 4: the overlap takes one value
         delays = np.linspace(-4, 4, points)
-        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 1]
-        with pytest.raises(ValueError, match="three distinct"):
-            visibility(delays, counts[:, None], 1.0, mode="fit")
+        counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, [1]]
+        with pytest.raises(ValueError, match="fewer than two distinct values"):
+            visibility(delays, counts, 1.0, mode="fit")
 
-    @pytest.mark.parametrize("delays", [np.linspace(-4, 4, 5), [0.0, 1.0, 2.0]])
-    def test_fit_accepts_three_distinct_delay_magnitudes(self, delays):
+    def test_fit_rejects_an_overlap_that_underflows_on_a_grid_without_zero_delay(self):
+        # |t| = 4, 2.4, 0.8: exp(-0.8^2 / 2e-6) underflows to 0.0, as at every
+        # other delay, so the overlap cannot tell the depth from the baseline
+        delays = np.linspace(-4, 4, 6)
+        counts = np.array([[1.0], [0.6], [0.7], [0.7], [0.6], [1.0]])
+        with pytest.raises(ValueError, match=r"6 delays from -4 to 4 at coherence_sigma 0\.001"):
+            visibility(delays, counts, 1e-3, mode="fit")
+
+    @pytest.mark.parametrize(
+        "delays",
+        [np.linspace(-4, 4, 3), np.linspace(-4, 4, 4), np.linspace(-4, 4, 5), [0.0, 1.0, 2.0]],
+    )
+    def test_fit_accepts_an_overlap_of_two_distinct_values(self, delays):
         counts = hom_scan(splitter_5050(), 0, 1, delays, 1.0)[:, 1]
         (value,) = visibility(delays, counts[:, None], 1.0, mode="fit")
         assert value == pytest.approx(1.0, abs=1e-9)
@@ -293,17 +304,25 @@ def _curve_fit_visibility(delays, counts, width_guess):
     return depth / baseline
 
 
-def _scan_with_degenerate_pairs():
-    """Delays and (T, 21) upper-triangle counts of a random-unitary scan, with
-    one all-zero pair (5, 5) and one pair (1, 2) whose indistinguishable and
-    distinguishable coincidences differ by one ulp."""
+def _degenerate_gammas():
+    """Upper-triangle (Gamma_i, Gamma_d) of a random 6-port unitary at inputs
+    0 and 3, with one all-zero pair (5, 5) and one pair (1, 2) whose
+    indistinguishable and distinguishable coincidences differ by one ulp."""
     u = random_unitary(np.random.default_rng(83), 6)
+    ks, ls = np.triu_indices(6)
+    gi = gamma_indistinguishable(u, 0, 3)[ks, ls]
+    gd = gamma_distinguishable(u, 0, 3)[ks, ls]
+    gi[ALL_ZERO] = gd[ALL_ZERO] = 0.0
+    gd[NEAR_FLAT] = 0.2
+    gi[NEAR_FLAT] = np.nextafter(0.2, 1.0)
+    return gi, gd
+
+
+def _scan_with_degenerate_pairs():
+    """Delays and (T, 21) upper-triangle counts of the scan of ``_degenerate_gammas``."""
     delays = np.linspace(-4, 4, 41)
-    counts = hom_scan(u, 0, 3, delays, 1.0)
-    counts[:, ALL_ZERO] = 0.0
-    gd = 0.2
-    overlap = np.exp(-(delays**2) / 2.0)
-    counts[:, NEAR_FLAT] = gd + overlap * (np.nextafter(gd, 1.0) - gd)
+    gi, gd = _degenerate_gammas()
+    counts = np.exp(-(delays**2) / 2.0)[:, None] * (gi - gd) + gd
     assert 0.0 < np.ptp(counts[:, NEAR_FLAT]) < 1e-16
     return delays, counts
 
@@ -343,56 +362,52 @@ class TestBatchedVisibility:
             (value,) = visibility(delays, counts[:, [NEAR_FLAT]], 1.0, mode="fit")
         assert math.isfinite(value) and abs(value) < 1e-9
 
-    def test_fit_stopped_by_iteration_cap_is_undefined(self, monkeypatch):
-        rng = np.random.default_rng(89)
-        delays = np.linspace(-3, 3, 61)
-        counts = 1.0 - 0.38 * np.exp(-(delays**2) / 2.0)
-        counts = counts * (1.0 + 0.002 * rng.standard_normal(delays.size))
-        (value,) = visibility(delays, counts[:, None], 1.0, mode="fit")
-        assert value == pytest.approx(0.38, abs=0.01)
-        monkeypatch.setattr(twophoton, "_FIT_MAX_ITER", 1)
-        (value,) = visibility(delays, counts[:, None], 1.0, mode="fit")
-        assert np.isnan(value)
+    @pytest.mark.parametrize("n", [2, 6, 24])
+    def test_fit_is_the_signed_closed_form_on_random_unitaries(self, n):
+        u = random_unitary(np.random.default_rng(n), n)
+        ks, ls = np.triu_indices(n)
+        delays = np.linspace(-4, 4, 81)
+        gi = gamma_indistinguishable(u, 0, n - 1)[ks, ls]
+        gd = gamma_distinguishable(u, 0, n - 1)[ks, ls]
+        _assert_signed_closed_form(delays, hom_scan(u, 0, n - 1, delays, 1.0), gi, gd)
+
+    def test_fit_is_the_signed_closed_form_on_degenerate_pairs(self):
+        delays, counts = _scan_with_degenerate_pairs()
+        _assert_signed_closed_form(delays, counts, *_degenerate_gammas())
+
+
+def _assert_signed_closed_form(delays, counts, gi, gd):
+    """Fit mode is (Gamma_d - Gamma_i) / Gamma_d to 1e-12, NaN exactly where Gamma_d == 0."""
+    fitted = visibility(delays, counts, 1.0, mode="fit")
+    np.testing.assert_array_equal(np.isnan(fitted), gd == 0.0)
+    exact = np.divide(gd - gi, gd, out=np.full_like(gd, np.nan), where=gd > 0.0)
+    np.testing.assert_allclose(fitted, exact, rtol=0, atol=1e-12)
 
 
 def _scan_of_48_ports():
-    """Delays and (81, 1176) upper-triangle counts of a random 48-port chip,
-    with a flat, an all-zero and a non-converging pair among them."""
+    """The (81, 1177) table of a random 48-port chip that cmd_hom writes: the
+    delays, then the upper-triangle counts, with a flat and an all-zero pair."""
     delays = np.linspace(-4, 4, 81)
     counts = hom_scan(random_unitary(np.random.default_rng(97), 48), 5, 30, delays, 1.0)
     counts[:, 3] = 0.25  # flat: visibility 0
     counts[:, 600] = 0.0  # no coincidences: undefined
-    # alternating 1.0, 1.5: needs more than _FIT_MAX_ITER steps, so undefined
-    counts[:, 1175] = 1.0 + 0.5 * (np.arange(81) % 2)
-    return delays, counts
+    return np.column_stack([delays, counts])
 
 
-class TestChunkedFit:
-    def test_chunks_give_the_bits_of_column_slices(self, monkeypatch):
-        delays, counts = _scan_of_48_ports()
-        whole = twophoton._fit_visibility(delays, counts, 1.0)
-        assert whole[3] == 0.0 and np.isnan(whole[600]) and np.isnan(whole[1175])
-        assert np.count_nonzero(np.isnan(whole)) == 2
-        edges = [0, 1, 300, 777, 1100, 1176]
-        slices = np.concatenate(
-            [twophoton._fit_visibility(delays, counts[:, a:b], 1.0) for a, b in zip(edges, edges[1:])]
-        )
-        assert np.array_equal(whole, slices, equal_nan=True)
-        monkeypatch.setattr(twophoton, "_FIT_CHUNK", 100)
-        chunked = twophoton._fit_visibility(delays, counts, 1.0)
-        assert np.array_equal(whole, chunked, equal_nan=True)
-
+class TestFitMemory:
     def test_memory_of_a_48_port_fit_is_bounded(self):
-        # fitting all 1,176 pairs in one batch traced 15.7 MB here, in chunks
-        # of 256 pairs 2.3 MB, in chunks of 64 pairs 0.6 MB
-        delays, counts = _scan_of_48_ports()
+        # on the strided view that cmd_hom passes, the fit traces 60 kB; a copy
+        # of the (81, 1176) scan alone would be 762 kB
+        rows = _scan_of_48_ports()
         tracemalloc.start()
         try:
-            twophoton._fit_visibility(delays, counts, 1.0)
+            values = twophoton._fit_visibility(rows[:, 0], rows[:, 1:], 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1_000_000
+        assert values[3] == 0.0 and np.isnan(values[600])
+        assert np.count_nonzero(np.isnan(values)) == 1
+        assert peak <= 200_000
 
 
 def _similarity_by_loops(a, b):
