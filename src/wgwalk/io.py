@@ -6,23 +6,13 @@ of the effective run configuration; JSON payloads carry the same fields in a
 float formatting, no timestamps. Ports are 1-based in all emitted files.
 
 Every writer checks its content for non-finite numbers before it opens its
-file, and writes nothing when it finds one; the items of an iterator in a
-JSON payload are checked by whoever builds them. A JSON payload is written
-as it is formatted, and none of its text is kept: each large array a block
-of leading-index rows at a time, and each container of many items, or
-iterator, an item at a time. So memory grows neither with ``steps`` nor with
-port count. At 65,536 steps the fan-in ``layout`` command peaks at 43 MB
-resident, where writing the document as one string took 204 MB. Blocks of
-about 1,024 elements keep a block's text below glibc's 128 KiB mmap
-threshold: the benchmark's fan-in ``layout`` commands peak about 0.5 MB
-lower than with blocks of 4,096. ``report``
-builds the per-pair objects of a 48-port chip's 2.9 MB ``ellipsoids.json`` a
-row at a time as it writes them: reading the record, reconstructing and
-writing trace 2.7 MB together, where building every object and holding the
-text once traced 6.6 MB. Reading that chip's 82,944-row tomography record
-traces 2.7 MB, with int32 ports and two-byte states, where int64 ports and
-two-character states traced 4.3 MB and per-state masks and separate key
-arrays 8.5 MB.
+file, and writes nothing when it finds one. The items of an iterator in a
+JSON payload are checked only as they are formatted, so whoever builds them
+checks what they are built from. A JSON payload is written as it is
+formatted, and none of its text is kept: each array of more than about
+1,024 elements a block of leading-index rows at a time, and every list,
+object and iterator an item at a time, so memory grows neither with
+``steps`` nor with port count.
 
 ``read_transfer_matrix`` reads back the transfer matrix of ``unitary.json``
 for the config that wrote it, so that later stages need not recompute it.
@@ -148,12 +138,6 @@ _encode = json.encoder.encode_basestring_ascii
 # never held, and a block's text (about 40 bytes an element) stays below
 # glibc's 128 KiB mmap threshold.
 _BLOCK = 1024
-# A list or dict of more than _FEW_ITEMS items, and an iterator, is written an
-# item at a time, each item formatted as one string, so that the text of a
-# document of many small containers is never held. A container of few items
-# is written as one string, unless it holds a large array or a container that
-# is written an item at a time.
-_FEW_ITEMS = 8
 
 
 @functools.lru_cache(maxsize=64)
@@ -213,10 +197,16 @@ def check_finite(name: str, content) -> None:
             raise ValueError(f"non-finite value {bad!r} in {name}; no artifact written")
 
 
-def _json_text(value, level: int) -> str:
-    """JSON text of ``value`` as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
-    writes it at nesting depth ``level``, with floating-point ndarrays laid out
-    like their ``tolist()``. Dict keys must be strings."""
+def _array_text(array: np.ndarray, template: str) -> str:
+    """``template`` filled with the shortest-roundtrip floats of ``array`` in C order."""
+    flat = array.ravel().tolist()
+    text = template % tuple(map(float.__repr__, flat))
+    if "n" in text:  # only "nan", "inf" and "-inf" among float reprs hold an "n"
+        raise _non_finite(next(v for v in flat if not math.isfinite(v)))
+    return text
+
+
+def _scalar_text(value) -> str:
     if isinstance(value, str):
         return _encode(value)
     if value is None:
@@ -231,82 +221,44 @@ def _json_text(value, level: int) -> str:
         if not math.isfinite(value):
             raise _non_finite(value)
         return float.__repr__(value)
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind != "f":
-            raise TypeError(f"array leaves must be floating point, not {value.dtype}")
-        flat = value.ravel().tolist()
-        text = _array_template(value.shape, level) % tuple(map(float.__repr__, flat))
-        if "n" in text:  # only "nan", "inf" and "-inf" among float reprs hold an "n"
-            raise _non_finite(next(v for v in flat if not math.isfinite(v)))
-        return text
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return _enclose("[]", [_json_text(item, level + 1) for item in value], level)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_encode(key) + ": " + _json_text(value[key], level + 1) for key in sorted(value)]
-        return _enclose("{}", items, level)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _enclose(brackets: str, items: list, level: int) -> str:
-    """The texts ``items`` of a container's items between ``brackets`` at depth ``level``."""
-    pad = "\n" + _JSON_INDENT * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + _JSON_INDENT * level + brackets[1]
-
-
-def _streamed(value) -> bool:
-    """Whether ``_write_value`` writes ``value`` in parts rather than as one string."""
+def _write_value(write, value, level: int) -> None:
+    """Pass ``write`` the text of ``value`` as ``json.dumps(indent=2,
+    sort_keys=True, allow_nan=False)`` lays it out at nesting depth ``level``,
+    with a floating-point ndarray as its ``tolist()`` and an iterator as the
+    list of its items; dict keys must be strings. An array of more than
+    ``_BLOCK`` elements goes a block of leading-index rows at a time, and a
+    dict, list, tuple or iterator an item at a time, so that the text of no
+    container is ever held whole. A non-finite float raises ValueError as it
+    is formatted."""
     if isinstance(value, np.ndarray):
-        return value.size > _BLOCK
-    if isinstance(value, dict):
-        return len(value) > _FEW_ITEMS or any(map(_streamed, value.values()))
-    if isinstance(value, (list, tuple)):
-        return len(value) > _FEW_ITEMS or any(map(_streamed, value))
-    return isinstance(value, Iterator)
-
-
-def _write_rows(handle, array: np.ndarray, level: int) -> None:
-    """Write ``array`` as ``_json_text`` lays it out at depth ``level``, a
-    block of leading-index rows of about ``_BLOCK`` elements at a time."""
-    step = max(1, _BLOCK * len(array) // array.size)
-    handle.write("[")
-    for start in range(0, len(array), step):
-        block = array[start : start + step]
-        values = tuple(map(float.__repr__, block.ravel().tolist()))
-        handle.write(("," if start else "") + _rows_template(block.shape, level) % values)
-    handle.write("\n" + _JSON_INDENT * level + "]")
-
-
-def _write_value(handle, value, level: int) -> None:
-    """Write the ``_json_text`` of ``value`` at depth ``level``, taking an
-    iterator for the list of its items. A large array is written a block of
-    rows at a time; a container of many items, or an iterator, an item at a
-    time with each item as one string; a container of few items that holds
-    either of these an item at a time; anything else as one string."""
-    if not _streamed(value):
-        handle.write(_json_text(value, level))
-        return
-    if isinstance(value, np.ndarray):
-        _write_rows(handle, value, level)
+        if value.dtype.kind != "f":
+            raise TypeError(f"array leaves must be floating point, not {value.dtype}")
+        if value.size <= _BLOCK:
+            write(_array_text(value, _array_template(value.shape, level)))
+            return
+        step = max(1, _BLOCK * len(value) // value.size)
+        for start in range(0, len(value), step):
+            block = value[start : start + step]
+            write(("," if start else "[") + _array_text(block, _rows_template(block.shape, level)))
+        write("\n" + _JSON_INDENT * level + "]")
         return
     if isinstance(value, dict):
-        brackets, items = "{}", [(_encode(key) + ": ", value[key]) for key in sorted(value)]
-    else:
+        brackets, items = "{}", ((_encode(key) + ": ", value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple, Iterator)):
         brackets, items = "[]", (("", item) for item in value)
-    whole = isinstance(value, Iterator) or len(value) > _FEW_ITEMS
+    else:
+        write(_scalar_text(value))
+        return
     pad = "\n" + _JSON_INDENT * (level + 1)
     opening = brackets[0]
     for label, item in items:
-        handle.write(opening + pad + label)
+        write(opening + pad + label)
         opening = ","
-        if whole:
-            handle.write(_json_text(item, level + 1))
-        else:
-            _write_value(handle, item, level + 1)
-    handle.write("\n" + _JSON_INDENT * level + brackets[1] if opening == "," else brackets)
+        _write_value(write, item, level + 1)
+    write("\n" + _JSON_INDENT * level + brackets[1] if opening == "," else brackets)
 
 
 def write_json(path, payload: dict, digest: Optional[str] = None) -> None:
@@ -315,10 +267,10 @@ def write_json(path, payload: dict, digest: Optional[str] = None) -> None:
     write it with every ndarray replaced by its ``tolist()`` and every
     iterator by a list of its items. The document is checked before the file
     is opened: a non-finite number raises ValueError naming the file and
-    writes nothing. The items of an iterator are formatted as they come, so
-    whoever builds them checks what they are built from. The text is written
-    as it is formatted (see ``_write_value``), and none of it is kept, so
-    that memory grows neither with array size nor with item count."""
+    writes nothing. The items of an iterator are checked only as they are
+    formatted, so whoever builds them checks what they are built from. The
+    text is written as it is formatted (see ``_write_value``) and none of it
+    is kept."""
     meta = {"tool_version": TOOL_VERSION}
     if digest is not None:
         meta["config_sha256"] = digest
@@ -326,7 +278,7 @@ def write_json(path, payload: dict, digest: Optional[str] = None) -> None:
     document.update(payload)
     check_finite(Path(path).name, document)
     with open(path, "w") as handle:
-        _write_value(handle, document, 0)
+        _write_value(handle.write, document, 0)
         handle.write("\n")
 
 

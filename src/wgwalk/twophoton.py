@@ -114,7 +114,8 @@ def visibility(delays, counts, coherence_sigma: float, mode: str = "extrema") ->
     A visibility is undefined for a pair without coincidences, and in fit
     mode also where the fitted baseline is not positive. Fit mode raises
     ValueError for a ``coherence_sigma`` that is not positive and for delays
-    on which the overlap takes fewer than two distinct values.
+    on which the overlap takes fewer than two distinct values, or values too
+    close together to fit (see ``_fit_visibility``).
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or np.shape(delays) != counts.shape[:1]:
@@ -130,6 +131,11 @@ def visibility(delays, counts, coherence_sigma: float, mode: str = "extrema") ->
     raise ValueError(f"unknown visibility mode {mode!r}")
 
 
+# The fit's error grows like the float epsilon times the condition number of
+# its design [1, -overlap]: below this bound it stays below about 1e-10.
+_FIT_MAX_CONDITION = 1e6
+
+
 def _fit_visibility(delays: np.ndarray, counts: np.ndarray, coherence_sigma: float) -> np.ndarray:
     """Fitted depth / baseline of every column of ``counts`` (T, P), NaN where undefined.
 
@@ -137,17 +143,20 @@ def _fit_visibility(delays: np.ndarray, counts: np.ndarray, coherence_sigma: flo
     design matrix [1, -overlap] is shared by every pair, so one pseudo-inverse
     fits all P columns at once. A flat column gives 0.0, or NaN without
     coincidences. Two parameters need the overlap to take two distinct values
-    on the delays (to the rank tolerance of the pseudo-inverse); fewer raise
-    ValueError.
+    on the delays, far enough apart that the design's condition number stays
+    within ``_FIT_MAX_CONDITION``; anything else raises ValueError.
     """
     overlap = _overlap(delays, coherence_sigma)
     design = np.stack([np.ones_like(overlap), -overlap], axis=1)
-    if np.linalg.matrix_rank(design) < 2:
+    singular = np.linalg.svd(design, compute_uv=False)
+    condition = singular[0] / singular[1] if singular.size == 2 and singular[1] > 0 else np.inf
+    if condition > _FIT_MAX_CONDITION:
         raise ValueError(
             f"fit-mode visibility on the {overlap.size} delays from {np.min(delays):g} to"
             f" {np.max(delays):g} at coherence_sigma {coherence_sigma:g}: exp(-delay^2 /"
-            " (2 coherence_sigma^2)) takes fewer than two distinct values, so baseline and"
-            " depth cannot be told apart"
+            " (2 coherence_sigma^2)) takes fewer than two distinct values, or values too"
+            f" close together (condition number {condition:.2g} of the fit, above"
+            f" {_FIT_MAX_CONDITION:g}), so baseline and depth cannot be told apart"
         )
     baseline, depth = np.linalg.pinv(design) @ counts
     with np.errstate(divide="ignore", invalid="ignore"):

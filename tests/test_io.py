@@ -37,11 +37,11 @@ def json_documents(leaves):
         st.text(max_size=6),
         st.recursive(
             leaves,
-            lambda children: st.lists(children, max_size=4)
-            | st.dictionaries(st.text(max_size=6), children, max_size=4),
-            max_leaves=16,
+            lambda children: st.lists(children, max_size=10)
+            | st.dictionaries(st.text(max_size=6), children, max_size=10),
+            max_leaves=24,
         ),
-        max_size=5,
+        max_size=10,
     )
 
 
@@ -89,10 +89,24 @@ class TestWriteJson:
 
 
 class TestStreamedArrays:
-    """Arrays above the streaming threshold are written a block of rows at a time."""
+    """Arrays of more than _BLOCK elements are written a block of rows at a time."""
 
     @pytest.mark.parametrize(
-        "shape", [(4097,), (5000, 3), (2, 3000), (3, 2, 1500), (1, 4097), (300, 7, 2)]
+        "shape",
+        [
+            (4097,),
+            (5000, 3),
+            (2, 3000),
+            (3, 2, 1500),
+            (1, 4097),
+            (300, 7, 2),
+            (1024,),
+            (1025,),
+            (2, 512),
+            (2, 513),
+            (0, 3),
+            (3, 0),
+        ],
     )
     def test_bytes_equal_stdlib_dumps(self, tmp_path, shape):
         rng = np.random.default_rng(5)
@@ -196,6 +210,18 @@ class TestIterators:
         )
         expected = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
         assert (tmp_path / "doc.json").read_text() == expected
+
+    @pytest.mark.parametrize(
+        "item",
+        [float("nan"), np.array([1.0, float("nan"), 2.0]), np.r_[np.zeros(1999), float("nan")]],
+        ids=["float", "small_array", "large_array"],
+    )
+    def test_non_finite_in_an_item_raises_as_it_is_formatted(self, tmp_path, item):
+        # check_finite does not see the items of an iterator
+        payload = {"rows": iter([[1.0], {"value": item}])}
+        io.check_finite("doc.json", payload)
+        with pytest.raises(ValueError, match="not JSON compliant: nan"):
+            io.write_json(tmp_path / "doc.json", payload)
 
     def test_check_neither_reads_nor_consumes_the_items(self):
         # whoever builds the items checks what they are built from

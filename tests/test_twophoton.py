@@ -375,6 +375,20 @@ class TestBatchedVisibility:
         delays, counts = _scan_with_degenerate_pairs()
         _assert_signed_closed_form(delays, counts, *_degenerate_gammas())
 
+    def test_fit_refuses_a_width_that_leaves_the_design_ill_conditioned(self):
+        # over -4..4 the design [1, -overlap] has condition number 8.2e3 at
+        # sigma = 100 and 8.2e7 at sigma = 1e4, where the fit lost 8 digits
+        u = random_unitary(np.random.default_rng(6), 6)
+        ks, ls = np.triu_indices(6)
+        delays = np.linspace(-4, 4, 81)
+        gi = gamma_indistinguishable(u, 0, 5)[ks, ls]
+        gd = gamma_distinguishable(u, 0, 5)[ks, ls]
+        fitted = visibility(delays, hom_scan(u, 0, 5, delays, 100.0), 100.0, mode="fit")
+        np.testing.assert_allclose(fitted, (gd - gi) / gd, rtol=0, atol=1e-11)
+        message = r"81 delays from -4 to 4 at coherence_sigma 10000: .* too close together"
+        with pytest.raises(ValueError, match=message):
+            visibility(delays, hom_scan(u, 0, 5, delays, 1e4), 1e4, mode="fit")
+
 
 def _assert_signed_closed_form(delays, counts, gi, gd):
     """Fit mode is (Gamma_d - Gamma_i) / Gamma_d to 1e-12, NaN exactly where Gamma_d == 0."""
