@@ -83,7 +83,7 @@ def _transfer(cfg: RunConfig) -> np.ndarray:
 
 
 def _input_pair(cfg: RunConfig) -> tuple:
-    if len(cfg.input_ports) < 2:
+    if len(cfg.input_ports) != 2:
         raise ConfigError("'input_ports' must list two ports for this command")
     i, j = cfg.input_ports[0], cfg.input_ports[1]
     if i == j:

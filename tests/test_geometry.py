@@ -270,3 +270,15 @@ class TestLayoutValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             WaveguideLayout(np.zeros((0, 2)))
+
+
+class TestRefusedArguments:
+    def test_ellipse_of_no_cores(self):
+        with pytest.raises(ValueError, match="^waveguide count must be at least 1$"):
+            elliptical_layout(0, 10.2, 7.0)
+
+    @pytest.mark.parametrize("stage1, stage2", [(0.0, 1.0), (8.5, 0.0), (-1.0, 1.0)])
+    def test_fan_in_stage_of_no_length(self, stage1, stage2):
+        ellipse = paper_ellipse()
+        with pytest.raises(ValueError, match="^stage lengths must be positive$"):
+            fan_in_layout(linear_layout(6, 127.0), ellipse, ellipse, stage1, stage2)

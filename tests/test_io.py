@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from wgwalk import io
-from wgwalk.polarization import TomographyRecord
+from wgwalk.polarization import ReconstructionError, TomographyRecord
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 float_arrays = arrays(
@@ -379,3 +379,46 @@ class TestConfigDigest:
         fallback, digests = result.stdout.splitlines()
         assert fallback == "True"
         assert json.loads(digests) == [hashlib_digest(json.loads(p.read_text())) for p in SHIPPED]
+
+
+class TestRefusedInput:
+    def test_matrix_csv_of_only_comments_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"# wgwalk {io.TOOL_VERSION}\n# config sha256 {'ab' * 32}\n\n")
+        with pytest.raises(ValueError) as info:
+            io.read_matrix_csv(path)
+        assert str(info.value) == f"no data rows in {path}"
+
+    @pytest.mark.parametrize(
+        "leaf, message",
+        [
+            (object(), "Object of type object is not JSON serializable"),
+            (np.arange(3), "array leaves must be floating point, not int64"),
+        ],
+        ids=["object", "integer array"],
+    )
+    def test_write_json_refuses_what_json_cannot_hold(self, tmp_path, leaf, message):
+        with pytest.raises(TypeError) as info:
+            io.write_json(tmp_path / "doc.json", {"a": [1.0, {"b": leaf}]})
+        assert str(info.value) == message
+
+    def _record(self, tmp_path):
+        record = TomographyRecord(np.random.default_rng(17).random((2, 6, 2, 6)))
+        path = tmp_path / "r.csv"
+        io.write_record_csv(path, record, digest="cd" * 32)
+        return record, path, path.read_text().splitlines(keepends=True)
+
+    def test_record_without_its_column_header_reads_the_same(self, tmp_path):
+        record, path, lines = self._record(tmp_path)
+        assert lines[2].startswith("input_port,")
+        path.write_text("".join(lines[:2] + lines[3:]))
+        back = io.read_record_csv(path)
+        np.testing.assert_array_equal(back.intensities, record.intensities)
+
+    @pytest.mark.parametrize("keep", [2, 3], ids=["only comments", "no rows"])
+    def test_record_without_rows_is_refused(self, tmp_path, keep):
+        _, path, lines = self._record(tmp_path)
+        path.write_text("".join(lines[:keep]))
+        with pytest.raises(ReconstructionError) as info:
+            io.read_record_csv(path)
+        assert str(info.value) == f"no record rows found in {path}"

@@ -589,3 +589,14 @@ class TestScalarChipConsistency:
         gamma_vec = gamma_indistinguishable(h_block, 0, 1)
         gamma_scalar = gamma_indistinguishable(u, 0, 1)
         np.testing.assert_allclose(gamma_vec, gamma_scalar, atol=1e-10)
+
+
+class TestTomographyRecordShape:
+    @pytest.mark.parametrize("shape", [(2, 6, 2), (2, 6, 2, 5), (2, 4, 2, 6), (1, 2, 6, 2, 6)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^record must have shape \(N, 6, N, 6\)$"):
+            TomographyRecord(np.ones(shape))
+
+    def test_unequal_port_counts_rejected(self):
+        with pytest.raises(ValueError, match="^record must cover equal input and output port counts$"):
+            TomographyRecord(np.ones((2, 6, 3, 6)))
