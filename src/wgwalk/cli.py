@@ -247,9 +247,9 @@ def cmd_tomography_report(cfg: RunConfig) -> Artifacts:
     e = poincare_ellipsoid(matrices)
     # the per-pair objects are built a row at a time as the file is written,
     # so their arrays are checked here, before any artifact is written
-    arrays = [e.center, e.semi_axes, e.orientation, *e.markers.values(), e.average_power]
-    io.check_finite("ellipsoids.json", arrays)
-    powers, degenerate = e.average_power.tolist(), e.degenerate.tolist()
+    arrays = [e["center"], e["semi_axes"], e["orientation"], *e["markers"].values()]
+    io.check_finite("ellipsoids.json", [*arrays, e["average_power"]])
+    powers, degenerate = e["average_power"].tolist(), e["degenerate"].tolist()
     n = record.n_ports
 
     def row(out_port: int) -> list:
@@ -257,10 +257,10 @@ def cmd_tomography_report(cfg: RunConfig) -> Artifacts:
             {
                 "output_port": out_port + 1,
                 "input_port": in_port + 1,
-                "center": e.center[out_port, in_port],
-                "semi_axes": e.semi_axes[out_port, in_port],
-                "orientation": e.orientation[out_port, in_port],
-                "markers": {s: v[out_port, in_port] for s, v in e.markers.items()},
+                "center": e["center"][out_port, in_port],
+                "semi_axes": e["semi_axes"][out_port, in_port],
+                "orientation": e["orientation"][out_port, in_port],
+                "markers": {s: v[out_port, in_port] for s, v in e["markers"].items()},
                 "average_power": powers[out_port][in_port],
                 "degenerate": degenerate[out_port][in_port],
             }

@@ -302,6 +302,8 @@ def load_run_config(
     for key, value in (("seed", seed), ("steps", steps), ("out_dir", out)):
         if value is not None:
             raw[key] = value
-    if noise is not None and isinstance(raw.get("polarization"), dict):
+    if noise is not None and raw.get("polarization") is None:
+        raise ConfigError("--noise needs the config section 'polarization', which is missing")
+    if noise is not None and isinstance(raw["polarization"], dict):
         raw["polarization"]["photometric_noise"] = noise
     return _run_config(root)

@@ -5,14 +5,14 @@ of the effective run configuration; JSON payloads carry the same fields in a
 ``meta`` object. Output is deterministic: fixed key order, shortest-roundtrip
 float formatting, no timestamps. Ports are 1-based in all emitted files.
 
-Every writer checks its content for non-finite numbers before it opens its
-file, and writes nothing when it finds one. The items of an iterator in a
-JSON payload are checked only as they are formatted, so whoever builds them
-checks what they are built from. A JSON payload is written as it is
-formatted, and none of its text is kept: each array of more than about
-1,024 elements a block of leading-index rows at a time, and every list,
-object and iterator an item at a time, so memory grows neither with
-``steps`` nor with port count.
+Every writer checks its content for non-finite numbers, and for what JSON
+cannot hold, before it opens its file, and writes nothing when it finds one.
+The items of an iterator in a JSON payload are checked only as they are
+formatted, so whoever builds them checks what they are built from. A JSON
+payload is written as it is formatted, and none of its text is kept: each
+array of more than about 1,024 elements a block of leading-index rows at a
+time, and every list, object and iterator an item at a time, so memory
+grows neither with ``steps`` nor with port count.
 
 ``read_transfer_matrix`` reads back the transfer matrix of ``unitary.json``
 for the config that wrote it, so that later stages need not recompute it.
@@ -24,8 +24,9 @@ import functools
 import json
 import math
 import warnings
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -172,29 +173,43 @@ def _first_non_finite(array: np.ndarray) -> Optional[float]:
     return None
 
 
+def _float_array(array: np.ndarray) -> np.ndarray:
+    if array.dtype.kind != "f":
+        raise TypeError(f"array leaves must be floating point, not {array.dtype}")
+    return array
+
+
 def check_finite(name: str, content) -> None:
     """Raise ValueError naming artifact ``name`` if its content (a JSON
     payload, a matrix, a (columns, rows) table or a TomographyRecord) holds
-    a non-finite number. The items of an iterator are not looked at."""
+    a non-finite number, and TypeError, with a note naming ``name``, if it
+    holds what ``_write_value`` cannot write: a dict key that is not a
+    string, an ndarray that is not floating point, or another leaf that
+    ``_scalar_text`` refuses. The items of an iterator are not looked at."""
     if isinstance(content, TomographyRecord):
         content = content.intensities
     pending = [content]
-    while pending:
-        value = pending.pop()
-        if isinstance(value, float):
-            bad = None if math.isfinite(value) else value
-        elif isinstance(value, dict):
-            pending += value.values()
-            continue
-        elif isinstance(value, (list, tuple)):
-            pending += value
-            continue
-        elif isinstance(value, np.ndarray):
-            bad = _first_non_finite(value)
-        else:
-            continue
-        if bad is not None:
-            raise ValueError(f"non-finite value {bad!r} in {name}; no artifact written")
+    try:
+        while pending:
+            value, bad = pending.pop(), None
+            if isinstance(value, dict):
+                for key in value:
+                    if not isinstance(key, str):
+                        raise TypeError(f"dict key {key!r} is not a string")
+                pending += value.values()
+            elif isinstance(value, (list, tuple)):
+                pending += value
+            elif isinstance(value, np.ndarray):
+                bad = _first_non_finite(_float_array(value))
+            elif isinstance(value, float):
+                bad = None if math.isfinite(value) else value
+            elif not isinstance(value, Iterator):
+                _scalar_text(value)  # the formatter's TypeError for a leaf JSON cannot hold
+            if bad is not None:
+                raise ValueError(f"non-finite value {bad!r} in {name}; no artifact written")
+    except TypeError as exc:
+        exc.__notes__ = [f"in {name}; no artifact written"]  # PEP 678, shown from Python 3.11
+        raise
 
 
 def _array_text(array: np.ndarray, template: str) -> str:
@@ -234,9 +249,7 @@ def _write_value(write, value, level: int) -> None:
     container is ever held whole. A non-finite float raises ValueError as it
     is formatted."""
     if isinstance(value, np.ndarray):
-        if value.dtype.kind != "f":
-            raise TypeError(f"array leaves must be floating point, not {value.dtype}")
-        if value.size <= _BLOCK:
+        if _float_array(value).size <= _BLOCK:
             write(_array_text(value, _array_template(value.shape, level)))
             return
         step = max(1, _BLOCK * len(value) // value.size)
@@ -266,8 +279,8 @@ def write_json(path, payload: dict, digest: Optional[str] = None) -> None:
     ``json.dumps(document, indent=2, sort_keys=True, allow_nan=False)`` would
     write it with every ndarray replaced by its ``tolist()`` and every
     iterator by a list of its items. The document is checked before the file
-    is opened: a non-finite number raises ValueError naming the file and
-    writes nothing. The items of an iterator are checked only as they are
+    is opened (see ``check_finite``): what it cannot hold raises, naming the
+    file, and nothing is written. The items of an iterator are checked only as they are
     formatted, so whoever builds them checks what they are built from. The
     text is written as it is formatted (see ``_write_value``) and none of it
     is kept."""

@@ -108,18 +108,6 @@ class TomographyRecord:
         return self.intensities.shape[0]
 
 
-@dataclass(frozen=True)
-class PoincareEllipsoid:
-    """Image of the unit polarization sphere under one Mueller matrix, or a stack of them."""
-
-    center: np.ndarray
-    semi_axes: np.ndarray
-    orientation: np.ndarray
-    markers: Dict[str, np.ndarray]
-    average_power: float
-    degenerate: bool
-
-
 def _per_guide(values, n: int, default: float, name: str) -> np.ndarray:
     if values is None:
         return np.full(n, default, dtype=float)
@@ -289,7 +277,7 @@ def reconstruct_mueller(record: TomographyRecord) -> Tuple[np.ndarray, np.ndarra
     return matrices, residuals
 
 
-def poincare_ellipsoid(mueller: np.ndarray) -> PoincareEllipsoid:
+def poincare_ellipsoid(mueller: np.ndarray) -> dict:
     """Geometry of the image of the unit Poincare sphere under a Mueller map.
 
     Fully polarized unit-power inputs (1, s) map to center + B s where the
@@ -300,43 +288,36 @@ def poincare_ellipsoid(mueller: np.ndarray) -> PoincareEllipsoid:
     transmitted power, and ``average_power`` is the mean output S0 over the
     six canonical inputs.
 
-    A stack of shape (..., 4, 4) gives every field with the same leading
-    axes (``average_power`` and ``degenerate`` as arrays), each entry equal
-    bit for bit to the call on that matrix alone.
+    Returns the ``ellipsoids.json`` fields by name: ``center``,
+    ``semi_axes``, ``orientation``, ``markers`` (a dict of H, D and R),
+    ``average_power`` and ``degenerate``. Each is an array with the leading
+    axes of ``mueller`` (0-d ``average_power`` and ``degenerate`` for one
+    4 x 4 matrix), and each entry of a stack of shape (..., 4, 4) equals bit
+    for bit the call on that matrix alone.
     """
     m = np.asarray(mueller, dtype=float)
     if m.ndim < 2 or m.shape[-2:] != (4, 4) or not np.all(np.isfinite(m)):
         raise ValueError("expected a finite 4 x 4 Mueller matrix")
-    center = m[..., 1:, 0].copy()
     rotation, axes, _ = np.linalg.svd(m[..., 1:, 1:])
     rotation[np.linalg.det(rotation) < 0, :, -1] *= -1.0  # keep proper rotations
     outputs = {s: m @ STOKES_STATES[s] for s in STATE_ORDER}  # one matvec per matrix
-    markers: Dict[str, np.ndarray] = {}
+    markers = {}
     for state in ("H", "D", "R"):
         out = outputs[state]
         direction = out[..., 1:]
         # sqrt of the same dot product np.linalg.norm takes of one vector
-        direction_norm = np.sqrt((direction[..., None, :] @ direction[..., :, None])[..., 0, 0])
+        norm = np.sqrt(direction[..., None, :] @ direction[..., :, None])[..., 0]
         markers[state] = np.zeros_like(direction)
-        np.divide(
-            out[..., :1] * direction,
-            direction_norm[..., None],
-            out=markers[state],
-            where=direction_norm[..., None] > 0,
-        )
+        np.divide(out[..., :1] * direction, norm, out=markers[state], where=norm > 0)
     powers = np.stack([outputs[s][..., 0] for s in STATE_ORDER], axis=-1)
-    average_power = np.mean(powers, axis=-1)
-    degenerate = np.all(axes <= DEGENERATE_TOL, axis=-1)
-    if m.ndim == 2:
-        average_power, degenerate = float(average_power), bool(degenerate)
-    return PoincareEllipsoid(
-        center=center,
-        semi_axes=axes,
-        orientation=rotation,
-        markers=markers,
-        average_power=average_power,
-        degenerate=degenerate,
-    )
+    return {
+        "center": m[..., 1:, 0].copy(),
+        "semi_axes": axes,
+        "orientation": rotation,
+        "markers": markers,
+        "average_power": np.mean(powers, axis=-1),
+        "degenerate": np.all(axes <= DEGENERATE_TOL, axis=-1),
+    }
 
 
 def extract_h_subspace(matrices: np.ndarray) -> np.ndarray:

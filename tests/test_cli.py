@@ -607,12 +607,12 @@ class TestTomographyCommand:
                 {
                     "output_port": o + 1,
                     "input_port": i + 1,
-                    "center": e.center[o, i].tolist(),
-                    "semi_axes": e.semi_axes[o, i].tolist(),
-                    "orientation": e.orientation[o, i].tolist(),
-                    "markers": {s: v[o, i].tolist() for s, v in e.markers.items()},
-                    "average_power": float(e.average_power[o, i]),
-                    "degenerate": bool(e.degenerate[o, i]),
+                    "center": e["center"][o, i].tolist(),
+                    "semi_axes": e["semi_axes"][o, i].tolist(),
+                    "orientation": e["orientation"][o, i].tolist(),
+                    "markers": {s: v[o, i].tolist() for s, v in e["markers"].items()},
+                    "average_power": float(e["average_power"][o, i]),
+                    "degenerate": bool(e["degenerate"][o, i]),
                 }
                 for i in range(48)
             ]
@@ -628,7 +628,7 @@ class TestTomographyCommand:
 
         def poisoned(matrices):
             e = poincare_ellipsoid(matrices)
-            e.markers["R"][-1, -1, -1] = np.nan
+            e["markers"]["R"][-1, -1, -1] = np.nan
             return e
 
         monkeypatch.setattr(cli, "poincare_ellipsoid", poisoned)
@@ -646,6 +646,16 @@ class TestTomographyCommand:
         argv = ["tomography", "--config", str(cfg_path), "--out", str(tmp_path), "--noise", "0.01"]
         assert main(argv) == 2
         assert "polarization" in capsys.readouterr().err
+
+    def test_noise_without_polarization_section_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg_path = Path(__file__).resolve().parent.parent / "configs" / "fanin_walk.json"
+        out = tmp_path / "noise"
+        argv = ["propagate", "--config", str(cfg_path), "--out", str(out), "--noise", "0.5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: --noise needs the config section 'polarization', which is missing\n"
+        )
+        assert not out.exists()
 
 
 class TestFidelityCommand:

@@ -402,6 +402,28 @@ class TestRefusedInput:
             io.write_json(tmp_path / "doc.json", {"a": [1.0, {"b": leaf}]})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"a": object()}, "Object of type object is not JSON serializable"),
+            ({"a": np.arange(3)}, "array leaves must be floating point, not int64"),
+            ({"a": [np.int64(3)]}, "Object of type int64 is not JSON serializable"),
+            ({1: 2.0}, "dict key 1 is not a string"),
+        ],
+        ids=["object", "integer array", "numpy integer", "integer key"],
+    )
+    def test_write_json_refuses_before_it_opens_the_file(self, tmp_path, payload, message):
+        # the formatter would have left '{\n  "a": ', or an empty file, behind
+        path = tmp_path / "doc.json"
+        with pytest.raises(TypeError) as info:
+            io.write_json(path, payload)
+        assert str(info.value) == message
+        assert info.value.__notes__ == ["in doc.json; no artifact written"]
+        assert not path.exists()
+
+    def test_check_finite_does_not_type_check_iterator_items(self):
+        io.check_finite("doc.json", {"rows": iter([object(), {1: np.arange(3)}])})
+
     def _record(self, tmp_path):
         record = TomographyRecord(np.random.default_rng(17).random((2, 6, 2, 6)))
         path = tmp_path / "r.csv"

@@ -436,34 +436,34 @@ class TestOneInputPortAtATime:
 class TestPoincareEllipsoid:
     def test_identity_is_unit_sphere(self):
         e = poincare_ellipsoid(np.eye(4))
-        np.testing.assert_allclose(e.center, np.zeros(3), atol=1e-14)
-        np.testing.assert_allclose(e.semi_axes, np.ones(3), atol=1e-14)
-        assert not e.degenerate
-        assert e.average_power == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(e["center"], np.zeros(3), atol=1e-14)
+        np.testing.assert_allclose(e["semi_axes"], np.ones(3), atol=1e-14)
+        assert not e["degenerate"]
+        assert e["average_power"] == pytest.approx(1.0, abs=1e-14)
 
     def test_polarizer_collapses_to_s1_axis(self):
         e = poincare_ellipsoid(jones_to_mueller(np.diag([1.0, 0.0])))
-        np.testing.assert_allclose(e.center, [0.5, 0, 0], atol=1e-14)
-        np.testing.assert_allclose(e.semi_axes, [0.5, 0, 0], atol=1e-14)
-        np.testing.assert_allclose(e.markers["H"], [1.0, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(e["center"], [0.5, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(e["semi_axes"], [0.5, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(e["markers"]["H"], [1.0, 0, 0], atol=1e-14)
 
     def test_uniform_depolarizer_shrinks_sphere(self):
         e = poincare_ellipsoid(np.diag([1.0, 0.5, 0.5, 0.5]))
-        np.testing.assert_allclose(e.center, np.zeros(3), atol=1e-14)
-        np.testing.assert_allclose(e.semi_axes, np.full(3, 0.5), atol=1e-14)
+        np.testing.assert_allclose(e["center"], np.zeros(3), atol=1e-14)
+        np.testing.assert_allclose(e["semi_axes"], np.full(3, 0.5), atol=1e-14)
 
     def test_zero_transmission_flags_degenerate(self):
         e = poincare_ellipsoid(np.zeros((4, 4)))
-        assert e.degenerate
-        np.testing.assert_array_equal(e.center, np.zeros(3))
+        assert e["degenerate"]
+        np.testing.assert_array_equal(e["center"], np.zeros(3))
 
     def test_orientation_is_proper_rotation(self):
         rng = np.random.default_rng(37)
         chip = random_chip(rng)
         matrices, _ = reconstruct_mueller(simulate_tomography(chip))
         e = poincare_ellipsoid(matrices[3, 1])
-        np.testing.assert_allclose(e.orientation @ e.orientation.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(e.orientation) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(e["orientation"] @ e["orientation"].T, np.eye(3), atol=1e-12)
+        assert np.linalg.det(e["orientation"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_lossless_pair_semi_axes_bounded_by_transmission(self):
         chip = random_chip(np.random.default_rng(41), lossless=True)
@@ -472,7 +472,7 @@ class TestPoincareEllipsoid:
             for j in range(6):
                 e = poincare_ellipsoid(matrices[i, j])
                 transmission = matrices[i, j][0, 0]
-                assert np.max(e.semi_axes) <= transmission + 1e-9
+                assert np.max(e["semi_axes"]) <= transmission + 1e-9
 
     def test_nonfinite_rejected(self):
         bad = np.eye(4)
@@ -495,24 +495,25 @@ class TestPoincareEllipsoid:
         matrices[2] = np.diag([1.0, 0.0, 0.0, 0.0])  # zero-norm markers
         stack = matrices.reshape(15, 20, 4, 4)
         batched = poincare_ellipsoid(stack)
-        assert batched.average_power.shape == batched.degenerate.shape == (15, 20)
+        assert batched["average_power"].shape == batched["degenerate"].shape == (15, 20)
         for index in np.ndindex(15, 20):
             center, axes, rotation, markers, power, degenerate = poincare_ellipsoid_reference(
                 stack[index]
             )
-            np.testing.assert_array_equal(batched.center[index], center)
-            np.testing.assert_array_equal(batched.semi_axes[index], axes)
-            np.testing.assert_array_equal(batched.orientation[index], rotation)
-            assert sorted(batched.markers) == sorted(markers)
+            np.testing.assert_array_equal(batched["center"][index], center)
+            np.testing.assert_array_equal(batched["semi_axes"][index], axes)
+            np.testing.assert_array_equal(batched["orientation"][index], rotation)
+            assert sorted(batched["markers"]) == sorted(markers)
             for state, marker in markers.items():
-                np.testing.assert_array_equal(batched.markers[state][index], marker)
-            assert batched.average_power[index] == power
-            assert batched.degenerate[index] == degenerate
+                np.testing.assert_array_equal(batched["markers"][state][index], marker)
+            assert batched["average_power"][index] == power
+            assert batched["degenerate"][index] == degenerate
             single = poincare_ellipsoid(stack[index])
-            assert single.average_power == power and single.degenerate is degenerate
-        assert batched.degenerate.ravel()[:4].tolist() == [True, False, True, False]
-        np.testing.assert_array_equal(batched.markers["D"].reshape(-1, 3)[2], np.zeros(3))
-        assert np.linalg.det(batched.orientation[0, 1]) == pytest.approx(1.0)
+            assert single["average_power"].shape == single["degenerate"].shape == ()
+            assert single["average_power"] == power and single["degenerate"] == degenerate
+        assert batched["degenerate"].ravel()[:4].tolist() == [True, False, True, False]
+        np.testing.assert_array_equal(batched["markers"]["D"].reshape(-1, 3)[2], np.zeros(3))
+        assert np.linalg.det(batched["orientation"][0, 1]) == pytest.approx(1.0)
 
 
 class TestExtractHSubspace:
