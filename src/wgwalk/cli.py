@@ -215,7 +215,7 @@ def _load_record(cfg: RunConfig):
             f"but the layout has {cfg.layout.n}"
         )
     digest = io.csv_digest(path)
-    if digest and cfg.digest and digest != cfg.digest:
+    if digest and digest != cfg.digest:
         raise ReconstructionError(
             f"tomography record {path} was simulated from config sha256 {digest}, but this "
             f"run's config has sha256 {cfg.digest}; --seed, --steps and --noise overrides "

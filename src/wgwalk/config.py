@@ -209,7 +209,7 @@ class RunConfig:
     polarization: Optional[PolarizationSettings]
     seed: int
     out_dir: Path
-    digest: str = field(repr=False, default="")
+    digest: str = field(repr=False)
 
 
 def _hom(spec: _Object) -> HomSettings:

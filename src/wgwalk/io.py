@@ -66,16 +66,27 @@ def _write_csv(
         handle.writelines(blocks)
 
 
-def csv_digest(path) -> Optional[str]:
-    """The config sha256 that a CSV artifact's comment lines name, or None."""
-    prefix = "# config sha256 "
+def _opening_lines(path) -> tuple:
+    """The number of comment, blank and column-header lines that open a CSV, and
+    the config sha256 that the first digest comment among them names, or None;
+    a comment is a line whose first non-blank character is ``#``."""
+    prefix, count, digest = "# config sha256 ", 0, None
     with open(path) as handle:
         for line in handle:
-            if not line.startswith("#"):
+            if line.startswith("input_port"):
+                return count + 1, digest
+            text = line.lstrip()
+            if text and not text.startswith("#"):
                 break
-            if line.startswith(prefix):
-                return line[len(prefix) :].strip()
-    return None
+            if digest is None and text.startswith(prefix):
+                digest = text[len(prefix) :].strip()
+            count += 1
+    return count, digest
+
+
+def csv_digest(path) -> Optional[str]:
+    """The config sha256 that a CSV artifact's opening comment lines name, or None."""
+    return _opening_lines(path)[1]
 
 
 def _float_lines(rows: np.ndarray) -> Iterator[str]:
@@ -92,14 +103,32 @@ def write_matrix_csv(path, matrix: np.ndarray, digest: Optional[str] = None) -> 
     _write_csv(path, digest, _float_lines(matrix))
 
 
+def _undecodable(path, exc: UnicodeDecodeError) -> str:
+    """A message naming ``path``, the 1-based line of its first byte that
+    ``exc``'s codec cannot decode, and why; ``exc`` may count its position
+    from the start of one chunk of the file."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as first:
+        exc = first
+    line = data.count(b"\n", 0, exc.start) + 1
+    return f"{path}:{line}: {exc}"
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a matrix CSV, ignoring comment lines.
 
-    Raises ValueError naming the file and 1-based line for an unparseable or
-    non-finite field, or a row whose length differs from the first row's.
+    Raises ValueError naming the file and 1-based line for a byte that is not
+    text, an unparseable or non-finite field, or a row whose length differs
+    from the first row's.
     """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(_undecodable(path, exc)) from None
     rows = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -365,19 +394,6 @@ def _parse_record_rows(source, skiprows: int = 0) -> np.ndarray:
         return np.loadtxt(source, dtype=_RECORD_DTYPE, delimiter=",", skiprows=skiprows, ndmin=1)
 
 
-def _leading_lines(path) -> int:
-    """Number of comment, blank and column-header lines that open a record file."""
-    count = 0
-    with open(path) as handle:
-        for line in handle:
-            if line.startswith("input_port"):
-                return count + 1
-            if line.strip() and not line.lstrip().startswith("#"):
-                break
-            count += 1
-    return count
-
-
 def _data_lines(path, skip: int) -> list:
     """(1-based line number, line) of each row the record parser reads."""
     lines = Path(path).read_text().split("\n")[skip:]
@@ -401,23 +417,26 @@ def _first_unparsable(lines: list) -> int:
 def read_record_csv(path) -> TomographyRecord:
     """Parse a tomography record CSV whose rows may come in any order.
 
-    Raises ReconstructionError naming the file and 1-based line for a
-    malformed row, an unknown polarization state, a port below 1, a
-    non-finite or negative intensity, or an (input, state, output, analyzer)
-    entry an earlier row already gave; and naming the file for a record with
-    no rows or with any intensity missing.
+    Raises ReconstructionError naming the file and 1-based line for a byte
+    that is not text, a malformed row, an unknown polarization state, a port
+    below 1, a non-finite or negative intensity, or an (input, state, output,
+    analyzer) entry an earlier row already gave; and naming the file for a
+    record with no rows or with any intensity missing.
     """
-    skip = _leading_lines(path)
 
     def row_error(index: int, what: str) -> ReconstructionError:
         number, line = _data_lines(path, skip)[index]
         return ReconstructionError(f"{path}:{number}: {what}: {line!r}")
 
     try:
-        rows = _parse_record_rows(path, skip)
-    except ValueError:
-        lines = [line for _, line in _data_lines(path, skip)]
-        raise row_error(_first_unparsable(lines), "malformed record row") from None
+        skip = _opening_lines(path)[0]
+        try:
+            rows = _parse_record_rows(path, skip)
+        except ValueError:  # an undecodable byte too, which _data_lines meets again
+            lines = [line for _, line in _data_lines(path, skip)]
+            raise row_error(_first_unparsable(lines), "malformed record row") from None
+    except UnicodeDecodeError as exc:
+        raise ReconstructionError(_undecodable(path, exc)) from None
     if rows.size == 0:
         raise ReconstructionError(f"no record rows found in {path}")
 

@@ -18,6 +18,7 @@ from wgwalk import cli, io
 from wgwalk.cli import main
 from wgwalk.config import load_run_config, parse_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
+from wgwalk.geometry import pairwise_distances
 from wgwalk.polarization import extract_h_subspace, poincare_ellipsoid, reconstruct_mueller
 from wgwalk.propagation import MAX_STEPS, unitary
 from wgwalk.twophoton import gamma_indistinguishable, similarity, visibility
@@ -379,6 +380,21 @@ class TestTomographyCommand:
         u = complex_matrix_from_payload(unitary_payload["matrix_re_im"])
         np.testing.assert_allclose(h_subspace, np.abs(u) ** 2, rtol=0, atol=1e-10)
 
+    def test_jones_fan_in_chip_runs_from_the_command_line(self, tmp_path):
+        # fanin_walk with equal H/V models and no imperfections: an H photon
+        # analysed as H sees the scalar chip, fan-in included
+        cfg = json.loads((CONFIGS / "fanin_walk.json").read_text())
+        cfg.update(polarization={}, out_dir=str(tmp_path / "run"))
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["propagate", "--config", cfg_path]) == 0
+        for mode in ("simulate", "reconstruct", "report"):
+            assert main(["tomography", "--config", cfg_path, "--mode", mode]) == 0
+        unitary_payload = json.loads((tmp_path / "run" / "unitary.json").read_text())
+        u = complex_matrix_from_payload(unitary_payload["matrix_re_im"])
+        # intensities are [input port, input state, output port, analyzer], H first
+        record = io.read_record_csv(tmp_path / "run" / cli.RECORD_FILENAME).intensities
+        np.testing.assert_allclose(record[:, 0, :, 0].T, np.abs(u) ** 2, rtol=0, atol=1e-12)
+
     def test_reconstruct_without_record_is_config_error(self, tmp_path):
         cfg_path = write_config(tmp_path, self.pol_config(tmp_path / "run"))
         assert main(["tomography", "--config", cfg_path, "--mode", "reconstruct"]) == 2
@@ -437,6 +453,49 @@ class TestTomographyCommand:
         assert io.csv_digest(record_path) is None
         assert main(command) == 0
         assert (tmp_path / "run" / artifact).exists()
+
+    # variant -> edit of the record's lines, which open with the tool version,
+    # the digest and the column header
+    OPENING_VARIANTS = {
+        "blank_line_before_digest": lambda lines: lines[:1] + [""] + lines[1:],
+        "indented_digest": lambda lines: lines[:1] + ["   " + lines[1]] + lines[2:],
+        "comments_before_header": lambda lines: lines[:2] + ["# a note", "  # another", "#"] + lines[2:],
+    }
+
+    @pytest.mark.parametrize("variant", sorted(OPENING_VARIANTS))
+    def test_digest_is_read_wherever_the_opening_lines_put_it(self, tmp_path, capsys, variant):
+        cfg_path, record_path, lines = self.simulated_record(tmp_path)
+        expected, digest = io.read_record_csv(record_path).intensities, io.csv_digest(record_path)
+        assert lines[1] == f"# config sha256 {digest}"
+        record_path.write_text("\n".join(self.OPENING_VARIANTS[variant](lines)) + "\n")
+        assert io.read_record_csv(record_path).intensities.tobytes() == expected.tobytes()
+        assert io.csv_digest(record_path) == digest
+        capsys.readouterr()
+        command = ["tomography", "--config", cfg_path, "--mode", "reconstruct", "--seed", "5"]
+        assert main(command) == 3
+        err = capsys.readouterr().err
+        assert digest in err and load_run_config(cfg_path, seed=5).digest in err
+        assert not (tmp_path / "run" / "mueller.json").exists()
+
+    # case -> (edit of the record's lines as bytes, 1-based line of the byte)
+    UNDECODABLE = {
+        "appended": (lambda b: b + [b"\xff\xfe,junk"], 1300),
+        "opening_line": (lambda b: [b[0] + b" \xff"] + b[1:], 1),
+        "comment_among_rows": (lambda b: b[:40] + [b"# a note \xff"] + b[40:], 41),
+        "data_row": (lambda b: b[:40] + [b[40] + b"\xff"] + b[41:], 41),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, capsys, case):
+        edit, number = self.UNDECODABLE[case]
+        cfg_path, record_path, lines = self.simulated_record(tmp_path)
+        assert len(lines) == 1299
+        record_path.write_bytes(b"\n".join(edit([line.encode() for line in lines])) + b"\n")
+        capsys.readouterr()
+        assert main(["tomography", "--config", cfg_path, "--mode", "reconstruct"]) == 3
+        err = capsys.readouterr().err
+        assert f"tomography_record.csv:{number}: " in err and "byte 0xff" in err
+        assert not (tmp_path / "run" / "mueller.json").exists()
 
     def test_record_rows_accepted_in_any_order(self, tmp_path):
         _, record_path, lines = self.simulated_record(tmp_path)
@@ -698,14 +757,20 @@ class TestFidelityCommand:
 
     @pytest.mark.parametrize(
         "body",
-        ["0.5,0.5\nnan,0.5\n", "0.5,0.5\n0.5\n", "0.5,0.5\n0.5,abc\n"],
-        ids=["nan", "ragged", "text"],
+        [
+            b"0.5,0.5\nnan,0.5\n",
+            b"0.5,0.5\n0.5\n",
+            b"0.5,0.5\n0.5,abc\n",
+            b"0.5,0.5\n\xff,0.5\n",
+            b"0.5,0.5\n# a note \xff\n0.5,0.5\n",
+        ],
+        ids=["nan", "ragged", "text", "not_utf8_row", "not_utf8_comment"],
     )
     def test_malformed_matrix_is_config_error(self, tmp_path, capsys, body):
         good = tmp_path / "good.csv"
         io.write_matrix_csv(good, np.eye(2))
         bad = tmp_path / "bad.csv"
-        bad.write_text("# wgwalk 0.1.0\n" + body)
+        bad.write_bytes(b"# wgwalk 0.1.0\n" + body)
         out = tmp_path / "out"
         assert main(["fidelity", str(good), str(bad), "--out", str(out)]) == 2
         assert f"{bad}:3" in capsys.readouterr().err
@@ -1004,6 +1069,27 @@ def _shipped_config(tmp_path, name, **edits):
     for section, values in edits.items():
         cfg[section].update(values)
     return write_config(tmp_path, cfg, f"{name}.json")
+
+
+def _minimum_separation(config_path) -> float:
+    """Smallest core separation (um) over 4,001 z samples of a fan-in profile."""
+    layout = load_run_config(config_path).layout
+    distances = pairwise_distances(layout, np.linspace(*layout.z_span, 4001))
+    ks, ls = np.triu_indices(layout.n, 1)
+    return float(distances[:, ks, ls].min())
+
+
+def test_paper_chip_has_no_crossing_and_runs_every_subcommand(tmp_path):
+    # the shipped front end sends linear input k to ellipse site k, and two of its cores cross
+    assert _minimum_separation(CONFIGS / "fanin_frontend.json") < 0.1
+    config = str(CONFIGS / "paper_chip.json")
+    assert _minimum_separation(config) >= 7.9
+    out = tmp_path / "run"
+    tomography = [["tomography", "--mode", mode] for mode in ("simulate", "reconstruct", "report")]
+    for command in [["layout"], ["propagate"], ["correlations"], ["hom"], *tomography]:
+        assert main([*command, "--config", config, "--out", str(out)]) == 0
+    gammas = [str(out / f"gamma_{kind}.csv") for kind in ("indistinguishable", "distinguishable")]
+    assert main(["fidelity", *gammas, "--out", str(out)]) == 0
 
 
 def test_tiny_coherence_sigma_gives_finite_scan(tmp_path):

@@ -370,6 +370,6 @@ def _workload_configs(tmp_path, monkeypatch):
 def test_every_shipped_and_workload_config_parses(tmp_path, monkeypatch):
     workload_configs = _workload_configs(tmp_path, monkeypatch)
     paths = [*(CONFIGS / f"{name}.json" for name in SHIPPED), *workload_configs]
-    assert len(paths) == 3 + 2 * (3 + 3 + 2)
+    assert len(paths) == 4 + 2 * (3 + 3 + 2)
     for path in paths:
         load_run_config(path)

@@ -437,6 +437,19 @@ class TestRefusedInput:
         back = io.read_record_csv(path)
         np.testing.assert_array_equal(back.intensities, record.intensities)
 
+    def test_valid_record_is_decoded_by_its_parser_alone(self, tmp_path, monkeypatch):
+        # the whole-file reads that name an undecodable byte's line run only on failure
+        record, path, _ = self._record(tmp_path)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{self} read whole")
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        monkeypatch.setattr(Path, "read_text", refuse)
+        back = io.read_record_csv(path)
+        np.testing.assert_array_equal(back.intensities, record.intensities)
+        assert io.csv_digest(path) == "cd" * 32
+
     @pytest.mark.parametrize("keep", [2, 3], ids=["only comments", "no rows"])
     def test_record_without_rows_is_refused(self, tmp_path, keep):
         _, path, lines = self._record(tmp_path)
