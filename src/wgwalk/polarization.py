@@ -114,6 +114,8 @@ def _per_guide(values, n: int, default: float, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a length-{n} vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -139,7 +141,8 @@ def build_polarized_chip(
     by the ``steps``-segment z-ordered product of that generator; the final
     cross-section then acts over z mm as the exact exponential of the
     generator. ``loss_h``/``loss_v`` amplitude attenuations in (0, 1] are
-    applied to the output modes after propagation.
+    applied to the output modes after propagation. A per-guide vector of
+    another length or with a non-finite entry raises ValueError naming it.
 
     With equal coupling models, zero birefringence and rotation, and unit
     losses, the result is the scalar propagator tensored with the
@@ -151,7 +154,7 @@ def build_polarized_chip(
     att_h = _per_guide(loss_h, n, 1.0, "loss_h")
     att_v = _per_guide(loss_v, n, 1.0, "loss_v")
     for name, att in (("loss_h", att_h), ("loss_v", att_v)):
-        if np.any(att <= 0) or np.any(att > 1):
+        if not np.all((att > 0) & (att <= 1)):
             raise ValueError(f"{name} amplitudes must lie in (0, 1]")
     idx = np.arange(n)
 

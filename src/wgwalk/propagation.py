@@ -65,12 +65,14 @@ def unitary(coupling_matrix: np.ndarray, z: float) -> np.ndarray:
     Uses the eigendecomposition of C, so unitarity holds to machine precision
     regardless of ||z C||. A stack of shape (..., n, n) gives the stack of
     propagators over the same length z, each equal bit for bit to the call on
-    that matrix alone.
+    that matrix alone. A length that is not a finite number >= 0 raises
+    ValueError.
     """
     c = np.asarray(coupling_matrix)
     _check_hermitian(c)
-    if z < 0:
-        raise ValueError("propagation length must be nonnegative")
+    # written so that a NaN length fails too
+    if not 0 <= z < math.inf:
+        raise ValueError(f"propagation length must be a finite number >= 0, not {z}")
     w, v = np.linalg.eigh(c)
     return (v * np.exp(1j * z * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
@@ -80,11 +82,14 @@ def evolve_amplitudes(
 ) -> np.ndarray:
     """Amplitude vectors exp(i z C) @ initial for every z in the grid.
 
-    Diagonalizes C once; returns an array of shape (len(z_grid), N).
+    Diagonalizes C once; returns an array of shape (len(z_grid), N). A grid
+    with a non-finite entry raises ValueError.
     """
     c = np.asarray(coupling_matrix)
     _check_hermitian(c)
     z_grid = np.asarray(z_grid, dtype=float)
+    if not np.all(np.isfinite(z_grid)):
+        raise ValueError("z grid must be finite")
     a0 = np.asarray(initial, dtype=complex)
     w, v = np.linalg.eigh(c)
     modal = v.conj().T @ a0

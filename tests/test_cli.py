@@ -20,7 +20,7 @@ from wgwalk.config import load_run_config, parse_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import pairwise_distances
 from wgwalk.polarization import extract_h_subspace, poincare_ellipsoid, reconstruct_mueller
-from wgwalk.propagation import MAX_STEPS, unitary
+from wgwalk.propagation import MAX_STEPS, evolve_amplitudes, unitary
 from wgwalk.twophoton import gamma_indistinguishable, similarity, visibility
 
 from helpers import (
@@ -243,6 +243,16 @@ class TestPropagateCommand:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_unnormalized_trace_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def leaky(c, initial, z_grid):
+            return 0.5 * evolve_amplitudes(c, initial, z_grid)
+
+        monkeypatch.setattr(cli, "evolve_amplitudes", leaky)
+        cfg_path = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main(["propagate", "--config", cfg_path]) == 3
+        assert "intensity trace not normalized" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestCorrelationsCommand:
     def test_end_to_end_matches_library(self, tmp_path):
@@ -276,6 +286,16 @@ class TestCorrelationsCommand:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["correlations", "--config", cfg_path]) == 2
         assert "input_ports" in capsys.readouterr().err
+
+    def test_unnormalized_correlations_are_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def leaky(u, i, j):
+            return 2.0 * gamma_indistinguishable(u, i, j)
+
+        monkeypatch.setattr(cli, "gamma_indistinguishable", leaky)
+        cfg_path = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main(["correlations", "--config", cfg_path]) == 3
+        assert "indistinguishable correlations not normalized" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestHomCommand:
@@ -380,10 +400,11 @@ class TestTomographyCommand:
         u = complex_matrix_from_payload(unitary_payload["matrix_re_im"])
         np.testing.assert_allclose(h_subspace, np.abs(u) ** 2, rtol=0, atol=1e-10)
 
-    def test_jones_fan_in_chip_runs_from_the_command_line(self, tmp_path):
-        # fanin_walk with equal H/V models and no imperfections: an H photon
+    @pytest.mark.parametrize("name", ["fanin_walk", "paper_chip"])
+    def test_jones_fan_in_chip_runs_from_the_command_line(self, tmp_path, name):
+        # a fan-in chip with equal H/V models and no imperfections: an H photon
         # analysed as H sees the scalar chip, fan-in included
-        cfg = json.loads((CONFIGS / "fanin_walk.json").read_text())
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
         cfg.update(polarization={}, out_dir=str(tmp_path / "run"))
         cfg_path = write_config(tmp_path, cfg)
         assert main(["propagate", "--config", cfg_path]) == 0

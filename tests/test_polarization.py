@@ -203,6 +203,16 @@ class TestBuildPolarizedChip:
             build_polarized_chip(layout, model, model, loss_h=np.full(6, 1.2), z=1.0)
         with pytest.raises(ValueError):
             build_polarized_chip(layout, model, model, loss_v=np.zeros(6), z=1.0)
+        # a non-finite entry is refused by the vector's name
+        for name, bad in (
+            ("loss_h", math.nan),
+            ("loss_v", math.inf),
+            ("birefringence", math.nan),
+            ("pol_rotation", math.inf),
+        ):
+            values = np.r_[bad, np.full(5, 0.5)]
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                build_polarized_chip(layout, model, model, z=1.0, **{name: values})
 
 
 class TestSimulateTomography:

@@ -13,6 +13,7 @@ from wgwalk.propagation import (
     MAX_STEPS,
     MIN_BATCH_SEGMENTS,
     _exp_i_taylor,
+    evolve_amplitudes,
     propagate_z_dependent,
     unitary,
     z_ordered_product,
@@ -138,6 +139,12 @@ class TestUnitary:
             unitary(np.eye(2), -1.0)
         with pytest.raises(ValueError):
             unitary(np.zeros((2, 3)), 1.0)
+        # non-finite lengths are refused by name, before any eigh runs
+        for z in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="propagation length"):
+                unitary(np.eye(2), z)
+        with pytest.raises(ValueError, match="z grid must be finite"):
+            evolve_amplitudes(np.eye(2), [1.0, 0.0], [0.0, math.nan])
 
 
 def _random_stack(rng, count, n, hermitian):
