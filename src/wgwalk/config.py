@@ -260,7 +260,7 @@ def _run_config(root: _Object) -> RunConfig:
             raise ConfigError(f"'input_ports' entry {port} outside [1, {layout.n}]")
 
     steps = root.number("steps", default=64, integer=True, minimum=1)
-    trace_points = root.number("trace_points", default=200, integer=True, minimum=1)
+    trace_points = root.number("trace_points", default=200, integer=True, minimum=2)
     seed = root.number("seed", default=0, integer=True, minimum=0)
     out_dir = root.get("out_dir", "out")
     if not isinstance(out_dir, (str, Path)):

@@ -56,31 +56,8 @@ STOKES_STATES: Dict[str, np.ndarray] = {
 }
 
 
-class ReconstructionError(RuntimeError):
+class ReconstructionError(ValueError):
     """A tomography record cannot be inverted into a Mueller array."""
-
-
-@dataclass(frozen=True)
-class JonesTransfer:
-    """2N x 2N complex port-and-polarization transfer matrix of a chip.
-
-    May be non-unitary (loss) but must be passive: no singular value above 1.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-            raise ValueError("Jones transfer must be square with even dimension")
-        object.__setattr__(self, "matrix", m)
-        top = np.linalg.svd(m, compute_uv=False)[0]
-        if top > 1.0 + PASSIVITY_TOL:
-            raise ValueError(f"Jones transfer not passive: max singular value {top:.9f}")
-
-    @property
-    def n_ports(self) -> int:
-        return self.matrix.shape[0] // 2
 
 
 @dataclass(frozen=True)
@@ -130,8 +107,9 @@ def build_polarized_chip(
     z: float = 1.0,
     neighbor_cutoff: Optional[float] = None,
     steps: int = 64,
-) -> JonesTransfer:
-    """Jones transfer of a chip with polarization-dependent imperfections.
+) -> np.ndarray:
+    """Jones transfer of a chip with polarization-dependent imperfections, a
+    complex 2N x 2N array on the port-major mode basis.
 
     Builds a 2N x 2N Hermitian generator whose horizontal modes couple
     through ``model_h`` and vertical modes through ``model_v``; per-guide
@@ -177,7 +155,7 @@ def build_polarized_chip(
     attenuation = np.empty(2 * n)
     attenuation[0::2] = att_h
     attenuation[1::2] = att_v
-    return JonesTransfer(attenuation[:, None] * propagated)
+    return attenuation[:, None] * propagated
 
 
 def standard_normal(rng: random.Random, count: int) -> np.ndarray:
@@ -198,11 +176,11 @@ def standard_normal(rng: random.Random, count: int) -> np.ndarray:
 
 
 def simulate_tomography(
-    chip: JonesTransfer,
+    chip: np.ndarray,
     photometric_noise: float = 0.0,
     rng: Optional[random.Random] = None,
 ) -> TomographyRecord:
-    """Six-state, six-analyzer tomography record of a Jones transfer.
+    """Six-state, six-analyzer tomography record of a 2N x 2N Jones transfer.
 
     Every input port is excited with the six canonical polarization states;
     every output port is projected onto the same six analyzer states.
@@ -211,13 +189,21 @@ def simulate_tomography(
     ``random.Random`` when None) by ``standard_normal`` in the C order of the
     record; 0 gives the exact noiseless record, and a sigma so large that a
     noisy intensity overflows raises ValueError. The complex fields are formed
-    one input port at a time.
+    one input port at a time. A chip that is not square with even size, or not
+    passive (lossy is allowed, but no singular value above 1), raises
+    ValueError first.
     """
+    chip = np.asarray(chip, dtype=complex)
+    if chip.ndim != 2 or chip.shape[0] != chip.shape[1] or chip.shape[0] % 2 != 0:
+        raise ValueError("Jones transfer must be square with even dimension")
+    top = np.linalg.svd(chip, compute_uv=False)[0]
+    if top > 1.0 + PASSIVITY_TOL:
+        raise ValueError(f"Jones transfer not passive: max singular value {top:.9f}")
     if photometric_noise < 0:
         raise ValueError("photometric_noise must be nonnegative")
-    n = chip.n_ports
+    n = chip.shape[0] // 2
     jones = np.stack([JONES_STATES[s] for s in STATE_ORDER])
-    blocks = chip.matrix.reshape(n, 2, n, 2)  # out port, out pol, in port, in pol
+    blocks = chip.reshape(n, 2, n, 2)  # out port, out pol, in port, in pol
     analyzers = jones.conj().T
     record = np.empty((n, 6, n, 6))
     for port in range(n):

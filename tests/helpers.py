@@ -29,7 +29,6 @@ from wgwalk.polarization import (
     JONES_STATES,
     STATE_ORDER,
     STOKES_STATES,
-    JonesTransfer,
     TomographyRecord,
     build_polarized_chip,
     standard_normal,
@@ -166,8 +165,9 @@ def field_stokes(field) -> np.ndarray:
 
 def random_chip(
     rng: np.random.Generator, n_ports: int = 6, lossless: bool = False
-) -> JonesTransfer:
-    """Random physical vectorial chip on the standard ellipse geometry."""
+) -> np.ndarray:
+    """Jones transfer of a random physical vectorial chip on the standard
+    ellipse geometry."""
     layout = paper_ellipse(n_ports)
     model_h = CouplingModel(
         c0_per_mm=rng.uniform(0.3, 1.2),
@@ -336,20 +336,20 @@ def raised_sine_path(start, end, length: float) -> Callable[[float], np.ndarray]
     return path
 
 
-def port_block(chip: JonesTransfer, out_port: int, in_port: int) -> np.ndarray:
+def port_block(chip: np.ndarray, out_port: int, in_port: int) -> np.ndarray:
     """2 x 2 Jones block from one input port to one output port."""
     r, c = 2 * out_port, 2 * in_port
-    return chip.matrix[r : r + 2, c : c + 2]
+    return chip[r : r + 2, c : c + 2]
 
 
 def simulate_tomography_all_ports(
-    chip: JonesTransfer, photometric_noise: float = 0.0, rng: Optional[random.Random] = None
+    chip: np.ndarray, photometric_noise: float = 0.0, rng: Optional[random.Random] = None
 ) -> TomographyRecord:
     """Tomography record with the fields of every input port formed at once
     and the noise drawn in one call."""
-    n = chip.n_ports
+    n = chip.shape[0] // 2
     jones = np.stack([JONES_STATES[s] for s in STATE_ORDER])
-    blocks = chip.matrix.reshape(n, 2, n, 2)  # out port, out pol, in port, in pol
+    blocks = chip.reshape(n, 2, n, 2)  # out port, out pol, in port, in pol
     fields = np.einsum("kpjq,sq->jskp", blocks, jones)  # in port, state, out port, out pol
     analyzers = jones.conj().T
     record = np.empty((n, 6, n, 6))

@@ -813,6 +813,19 @@ class TestFidelityCommand:
         io.write_matrix_csv(b, np.eye(2))
         assert main(["fidelity", str(a), str(b)]) == 3
 
+    def test_matrices_of_two_shapes_are_numerical_failure_naming_both(self, tmp_path, capsys):
+        row = tmp_path / "row.csv"
+        column = tmp_path / "column.csv"
+        row.write_text("0.1,0.2,0.3\n")
+        column.write_text("0.1\n0.2\n0.3\n")
+        out = tmp_path / "out"
+        assert main(["fidelity", str(row), str(column), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot compare {row} (1 x 3) with {column} (3 x 1): "
+            "the matrices must have identical shapes\n"
+        )
+        assert not out.exists()
+
     def test_failed_write_reports_no_similarity(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         io.write_matrix_csv(a, np.eye(2))
@@ -1111,6 +1124,19 @@ def test_paper_chip_has_no_crossing_and_runs_every_subcommand(tmp_path):
         assert main([*command, "--config", config, "--out", str(out)]) == 0
     gammas = [str(out / f"gamma_{kind}.csv") for kind in ("indistinguishable", "distinguishable")]
     assert main(["fidelity", *gammas, "--out", str(out)]) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 1: fanin_frontend's U is 0.43 off a 32,768-step product at its "
+        "128 steps, and two of its cores pass within 0.012 um, yet propagate exits 0"
+    ),
+)
+def test_fanin_frontend_propagate_is_refused(tmp_path):
+    out = tmp_path / "run"
+    assert main(["propagate", "--config", str(CONFIGS / "fanin_frontend.json"), "--out", str(out)]) == 3
+    assert not (out / "unitary.json").exists()
 
 
 def test_tiny_coherence_sigma_gives_finite_scan(tmp_path):

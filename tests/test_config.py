@@ -102,6 +102,7 @@ REFUSALS = {
     "input port out of range": ("ellipse_walk", {"input_ports": [1, 7]}, "'input_ports' entry 7 outside [1, 6]"),
     "steps below one": ("ellipse_walk", {"steps": 0}, "'steps' must be at least 1"),
     "trace_points not an integer": ("ellipse_walk", {"trace_points": 1.5}, "'trace_points' must be an integer"),
+    "trace_points below two": ("ellipse_walk", {"trace_points": 1}, "'trace_points' must be at least 2"),
     "seed below zero": ("ellipse_walk", {"seed": -1}, "'seed' must be at least 0"),
     "out_dir not a string": ("ellipse_walk", {"out_dir": 5}, "'out_dir' must be a path string"),
     "hom not an object": ("ellipse_walk", {"hom": "yes"}, "'hom' must be a JSON object"),

@@ -457,3 +457,4 @@ class TestRefusedInput:
         with pytest.raises(ReconstructionError) as info:
             io.read_record_csv(path)
         assert str(info.value) == f"no record rows found in {path}"
+        assert issubclass(ReconstructionError, ValueError)  # so main maps it to exit 3

@@ -12,7 +12,6 @@ from wgwalk.geometry import elliptical_layout, fan_in_layout, linear_layout
 from wgwalk.polarization import (
     STATE_ORDER,
     STOKES_STATES,
-    JonesTransfer,
     ReconstructionError,
     TomographyRecord,
     build_polarized_chip,
@@ -42,7 +41,7 @@ from helpers import (
 
 
 def identity_chip(n=6):
-    return JonesTransfer(np.eye(2 * n, dtype=complex))
+    return np.eye(2 * n, dtype=complex)
 
 
 def scalar_chip(z=1.3):
@@ -93,22 +92,6 @@ class TestJonesToMueller:
             jones_to_mueller(np.eye(3))
 
 
-class TestJonesTransfer:
-    def test_passivity_enforced(self):
-        with pytest.raises(ValueError):
-            JonesTransfer(1.5 * np.eye(4))
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            JonesTransfer(np.eye(3, dtype=complex))
-
-    def test_port_block_indexing(self):
-        m = np.arange(16, dtype=complex).reshape(4, 4) / 100.0
-        chip = JonesTransfer(m)
-        np.testing.assert_array_equal(port_block(chip, 1, 0), m[2:4, 0:2])
-        assert chip.n_ports == 2
-
-
 class TestTomographyRecord:
     def test_negative_rejected(self):
         intensities = np.full((1, 6, 1, 6), 0.5)
@@ -120,16 +103,16 @@ class TestTomographyRecord:
 class TestBuildPolarizedChip:
     def test_degenerate_parameters_reduce_to_scalar(self):
         chip, u = scalar_chip()
-        np.testing.assert_allclose(chip.matrix[0::2, 0::2], u, atol=1e-10)
-        np.testing.assert_allclose(chip.matrix[1::2, 1::2], u, atol=1e-10)
+        np.testing.assert_allclose(chip[0::2, 0::2], u, atol=1e-10)
+        np.testing.assert_allclose(chip[1::2, 1::2], u, atol=1e-10)
         np.testing.assert_allclose(
-            chip.matrix[0::2, 1::2], np.zeros((6, 6)), atol=1e-12
+            chip[0::2, 1::2], np.zeros((6, 6)), atol=1e-12
         )
 
     def test_lossless_chip_is_unitary(self):
         rng = np.random.default_rng(11)
         chip = random_chip(rng, lossless=True)
-        singular = np.linalg.svd(chip.matrix, compute_uv=False)
+        singular = np.linalg.svd(chip, compute_uv=False)
         np.testing.assert_allclose(singular, np.ones(12), atol=1e-10)
 
     def test_decoupled_vertical_block_keeps_v_photons_home(self):
@@ -137,9 +120,9 @@ class TestBuildPolarizedChip:
         model_h = CouplingModel(c0_per_mm=1.0)
         model_v = CouplingModel(c0_per_mm=0.0)
         chip = build_polarized_chip(layout, model_h, model_v, z=1.5)
-        v_block = np.abs(chip.matrix[1::2, 1::2])
+        v_block = np.abs(chip[1::2, 1::2])
         np.testing.assert_allclose(v_block, np.eye(6), atol=1e-12)
-        h_block = np.abs(chip.matrix[0::2, 0::2]) ** 2
+        h_block = np.abs(chip[0::2, 0::2]) ** 2
         assert np.max(h_block - np.eye(6)) > 0.05  # H photons actually walk
 
     def test_single_guide_excess_v_loss_deficit(self):
@@ -150,23 +133,23 @@ class TestBuildPolarizedChip:
         loss_v = np.ones(6)
         loss_v[2] = np.sqrt(1.0 - 0.38)
         chip = build_polarized_chip(layout, model, model, loss_v=loss_v, z=1.0)
-        power_h = np.sum(np.abs(chip.matrix[:, 2 * 2]) ** 2)
-        power_v = np.sum(np.abs(chip.matrix[:, 2 * 2 + 1]) ** 2)
+        power_h = np.sum(np.abs(chip[:, 2 * 2]) ** 2)
+        power_v = np.sum(np.abs(chip[:, 2 * 2 + 1]) ** 2)
         assert 1.0 - power_v / power_h == pytest.approx(0.38, abs=1e-12)
 
     def test_birefringence_splits_phases(self):
         layout = linear_layout(1, 10.0)
         model = CouplingModel()
         chip = build_polarized_chip(layout, model, model, birefringence=[2.0], z=1.0)
-        phase_h = np.angle(chip.matrix[0, 0])
-        phase_v = np.angle(chip.matrix[1, 1])
+        phase_h = np.angle(chip[0, 0])
+        phase_v = np.angle(chip[1, 1])
         assert (phase_h - phase_v) == pytest.approx(2.0, abs=1e-12)
 
     def test_pol_rotation_mixes_polarizations(self):
         layout = linear_layout(1, 10.0)
         model = CouplingModel()
         chip = build_polarized_chip(layout, model, model, pol_rotation=[0.3], z=1.0)
-        assert abs(chip.matrix[1, 0]) > 0.1
+        assert abs(chip[1, 0]) > 0.1
 
     def test_fan_in_chip_is_scalar_chip_tensored_with_identity(self):
         outer = elliptical_layout(6, 40.8, 28.0)
@@ -176,14 +159,14 @@ class TestBuildPolarizedChip:
         chip = build_polarized_chip(layout, model, model, z=1.0, steps=96)
         fan = propagate_z_dependent(layout, model, 0.0, 9.5, 96)
         total = unitary(build_coupling_matrix(layout, model), 1.0) @ fan
-        np.testing.assert_allclose(chip.matrix, np.kron(total, np.eye(2)), atol=1e-12)
+        np.testing.assert_allclose(chip, np.kron(total, np.eye(2)), atol=1e-12)
 
     def test_birefringence_acts_along_the_fan_in(self):
         entry = linear_layout(1, 10.0)
         layout = fan_in_layout(entry, entry, entry, 2.0, 0.5)
         model = CouplingModel()
         chip = build_polarized_chip(layout, model, model, birefringence=[2.0], z=1.0, steps=5)
-        relative = chip.matrix[0, 0] / chip.matrix[1, 1]
+        relative = chip[0, 0] / chip[1, 1]
         assert abs(relative - np.exp(2.0j * (1.0 + 2.5))) < 1e-12
 
     def test_memory_of_a_24_core_fan_in_chip_is_bounded(self):
@@ -250,6 +233,24 @@ class TestSimulateTomography:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             simulate_tomography(identity_chip(), -0.1)
+
+    @pytest.mark.parametrize("noise", [0.0, -0.1])  # the chip is checked before the noise
+    def test_passivity_enforced(self, noise):
+        with pytest.raises(ValueError, match=r"^Jones transfer not passive: max singular value 1\.500000000$"):
+            simulate_tomography(1.5 * np.eye(4), noise)
+
+    @pytest.mark.parametrize("noise", [0.0, -0.1])
+    def test_odd_dimension_rejected(self, noise):
+        with pytest.raises(ValueError, match="^Jones transfer must be square with even dimension$"):
+            simulate_tomography(np.eye(3), noise)
+
+    def test_port_block_indexing(self):
+        m = np.arange(16, dtype=complex).reshape(4, 4) / 100.0
+        np.testing.assert_array_equal(port_block(m, 1, 0), m[2:4, 0:2])
+        h = STATE_ORDER.index("H")
+        record = simulate_tomography(m).intensities  # [input_port, state, output_port, analyzer]
+        assert record.shape == (2, 6, 2, 6)
+        assert record[0, h, 1, h] == pytest.approx(abs(port_block(m, 1, 0)[0, 0]) ** 2, abs=1e-15)
 
     def test_overflowing_noise_rejected_without_warning(self):
         # lit entries overflow to +-inf and dark ones to 0 * inf = nan
@@ -395,9 +396,9 @@ def _ellipse_chip(factor: int):
     return cli._build_chip(parse_run_config(scaled_ellipse_walk(factor)))
 
 
-def _lossy_jones_chip(rng: np.random.Generator, n: int) -> JonesTransfer:
+def _lossy_jones_chip(rng: np.random.Generator, n: int) -> np.ndarray:
     """A random passive 2n x 2n Jones transfer with unequal mode losses."""
-    return JonesTransfer(0.95 * random_unitary(rng, 2 * n) * rng.uniform(0.3, 1.0, 2 * n))
+    return 0.95 * random_unitary(rng, 2 * n) * rng.uniform(0.3, 1.0, 2 * n)
 
 
 class TestOneInputPortAtATime:
@@ -405,7 +406,7 @@ class TestOneInputPortAtATime:
     all-ports simulation and of one least-squares call on the whole record."""
 
     @staticmethod
-    def assert_bit_equal(chip: JonesTransfer, noise: float):
+    def assert_bit_equal(chip: np.ndarray, noise: float):
         record = simulate_tomography(chip, noise, random.Random(8))
         expected = simulate_tomography_all_ports(chip, noise, random.Random(8))
         assert np.array_equal(record.intensities, expected.intensities)
@@ -596,7 +597,7 @@ class TestPdlReport:
 class TestScalarChipConsistency:
     def test_two_photon_correlations_match_scalar_model(self):
         chip, u = scalar_chip()
-        h_block = chip.matrix[0::2, 0::2]
+        h_block = chip[0::2, 0::2]
         gamma_vec = gamma_indistinguishable(h_block, 0, 1)
         gamma_scalar = gamma_indistinguishable(u, 0, 1)
         np.testing.assert_allclose(gamma_vec, gamma_scalar, atol=1e-10)
