@@ -5,7 +5,8 @@ Submodules: ``geometry`` (layouts and fan-in trajectories), ``coupling``
 amplitude traces and the z-ordered product), ``twophoton`` (correlation
 matrices, HOM scans, fidelity), ``polarization`` (vectorial chip model and
 Mueller tomography), ``config`` and ``cli`` (run configuration and
-command-line surface).
+command-line surface). Import each by name, as in ``from wgwalk import cli``:
+the package imports only what its version and thread pin need.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
@@ -20,13 +21,3 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .io import TOOL_VERSION as __version__  # noqa: E402, F401
-
-from . import (  # noqa: E402, F401
-    config,
-    coupling,
-    geometry,
-    io,
-    polarization,
-    propagation,
-    twophoton,
-)

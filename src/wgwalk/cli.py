@@ -186,24 +186,6 @@ def cmd_hom(cfg: RunConfig) -> Artifacts:
     }
 
 
-def _build_chip(cfg: RunConfig):
-    if cfg.polarization is None:
-        raise ConfigError("missing config section 'polarization'")
-    pol = cfg.polarization
-    return build_polarized_chip(
-        cfg.layout,
-        pol.model_h,
-        pol.model_v,
-        birefringence=pol.birefringence,
-        pol_rotation=pol.pol_rotation,
-        loss_h=pol.loss_h,
-        loss_v=pol.loss_v,
-        z=cfg.z_mm,
-        neighbor_cutoff=cfg.neighbor_cutoff_um,
-        steps=cfg.steps,
-    )
-
-
 def _load_record(cfg: RunConfig):
     path = cfg.out_dir / RECORD_FILENAME
     if not path.exists():
@@ -225,9 +207,23 @@ def _load_record(cfg: RunConfig):
 
 
 def cmd_tomography_simulate(cfg: RunConfig) -> Artifacts:
-    chip = _build_chip(cfg)
-    noise = cfg.polarization.photometric_noise
-    return {RECORD_FILENAME: simulate_tomography(chip, noise, random.Random(cfg.seed))}
+    pol = cfg.polarization
+    if pol is None:
+        raise ConfigError("missing config section 'polarization'")
+    chip = build_polarized_chip(
+        cfg.layout,
+        pol.model_h,
+        pol.model_v,
+        birefringence=pol.birefringence,
+        pol_rotation=pol.pol_rotation,
+        loss_h=pol.loss_h,
+        loss_v=pol.loss_v,
+        z=cfg.z_mm,
+        neighbor_cutoff=cfg.neighbor_cutoff_um,
+        steps=cfg.steps,
+    )
+    record = simulate_tomography(chip, pol.photometric_noise, random.Random(cfg.seed))
+    return {RECORD_FILENAME: record}
 
 
 def cmd_tomography_reconstruct(cfg: RunConfig) -> Artifacts:
@@ -358,12 +354,11 @@ def main(argv=None) -> int:
             path = out / name
             if isinstance(content, dict):
                 io.write_json(path, content, digest)
-            elif isinstance(content, tuple):
-                io.write_table_csv(path, *content, digest)
             elif isinstance(content, TomographyRecord):
                 io.write_record_csv(path, content, digest)
-            else:
-                io.write_matrix_csv(path, content, digest)
+            else:  # a (columns, rows) table, or a matrix with no column header
+                columns, rows = content if isinstance(content, tuple) else (None, content)
+                io.write_table_csv(path, columns, rows, digest)
             if name == "fidelity.json":  # S is reported only once it is on disk
                 print(f"S = {content['similarity']!r}")
             print(f"wrote {path}")

@@ -31,6 +31,17 @@ class ConfigError(ValueError):
     """Invalid or missing run-configuration content."""
 
 
+# Most rows of the intensity trace. Its largest array, the (points, N) complex
+# amplitudes, holds 48 MiB at the cap for N = 48; a larger count is refused
+# before any array is formed.
+MAX_TRACE_POINTS = 1 << 16
+
+# Most delays of a HOM scan. Its scan and the table it goes into are each a
+# (points, N (N + 1) / 2 + 1) float array, 37 MiB at the cap for N = 48; a
+# larger count is refused before any array is formed.
+MAX_HOM_POINTS = 1 << 12
+
+
 _MISSING = object()
 
 
@@ -64,7 +75,9 @@ class _Object:
         spec.done()
         return parsed
 
-    def number(self, key: str, default=_MISSING, minimum=None, positive=False, integer=False):
+    def number(
+        self, key: str, default=_MISSING, minimum=None, maximum=None, positive=False, integer=False
+    ):
         value = self.get(key, default)
         if value is _MISSING:
             raise ConfigError(f"missing config key '{self.name(key)}'")
@@ -78,6 +91,8 @@ class _Object:
             raise ConfigError(f"'{self.name(key)}' must be positive")
         if minimum is not None and value < minimum:
             raise ConfigError(f"'{self.name(key)}' must be at least {minimum}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"'{self.name(key)}' must be at most {maximum}")
         return int(value) if integer else float(value)
 
     def vector(self, key: str, length: int) -> Optional[np.ndarray]:
@@ -213,7 +228,7 @@ class RunConfig:
 
 
 def _hom(spec: _Object) -> HomSettings:
-    points = spec.number("points", integer=True, minimum=1)
+    points = spec.number("points", integer=True, minimum=1, maximum=MAX_HOM_POINTS)
     delay_min = spec.number("delay_min")
     delay_max = spec.number("delay_max")
     if delay_max < delay_min:
@@ -260,7 +275,9 @@ def _run_config(root: _Object) -> RunConfig:
             raise ConfigError(f"'input_ports' entry {port} outside [1, {layout.n}]")
 
     steps = root.number("steps", default=64, integer=True, minimum=1)
-    trace_points = root.number("trace_points", default=200, integer=True, minimum=2)
+    trace_points = root.number(
+        "trace_points", default=200, integer=True, minimum=2, maximum=MAX_TRACE_POINTS
+    )
     seed = root.number("seed", default=0, integer=True, minimum=0)
     out_dir = root.get("out_dir", "out")
     if not isinstance(out_dir, (str, Path)):

@@ -95,14 +95,6 @@ def _float_lines(rows: np.ndarray) -> Iterator[str]:
         yield ",".join(map(float.__repr__, row.tolist())) + "\n"
 
 
-def write_matrix_csv(path, matrix: np.ndarray, digest: Optional[str] = None) -> None:
-    """Plain comma-separated matrix body under the standard comment header;
-    a non-finite entry raises ValueError and writes nothing."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    check_finite(Path(path).name, matrix)
-    _write_csv(path, digest, _float_lines(matrix))
-
-
 def _undecodable(path, exc: UnicodeDecodeError) -> str:
     """A message naming ``path``, the 1-based line of its first byte that
     ``exc``'s codec cannot decode, and why; ``exc`` may count its position
@@ -150,15 +142,17 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def write_table_csv(
     path,
-    columns: Sequence[str],
+    columns: Optional[Sequence[str]],
     rows: np.ndarray,
     digest: Optional[str] = None,
 ) -> None:
-    """Column-headed table of floats under the standard comment header; a
+    """Rows of floats (a 0-d or 1-d array as one row) under the standard
+    comment header and, unless ``columns`` is None, a column-header line; a
     non-finite entry raises ValueError and writes nothing."""
-    rows = np.asarray(rows, dtype=float)
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
     check_finite(Path(path).name, rows)
-    _write_csv(path, digest, _float_lines(rows), header=",".join(columns))
+    header = None if columns is None else ",".join(columns)
+    _write_csv(path, digest, _float_lines(rows), header=header)
 
 
 _JSON_INDENT = "  "

@@ -742,7 +742,7 @@ class TestFidelityCommand:
     def test_identical_files_give_one(self, tmp_path, capsys):
         matrix = np.array([[0.2, 0.3], [0.3, 0.2]])
         path = tmp_path / "gamma.csv"
-        io.write_matrix_csv(path, matrix)
+        io.write_table_csv(path, None, matrix)
         assert main(["fidelity", str(path), str(path), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out == f"S = 1.0\nwrote {tmp_path / 'fidelity.json'}\n"
         payload = json.loads((tmp_path / "fidelity.json").read_text())
@@ -752,8 +752,8 @@ class TestFidelityCommand:
         monkeypatch.chdir(tmp_path)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        io.write_matrix_csv(a, np.array([[1.0, 0.0], [0.0, 0.0]]))
-        io.write_matrix_csv(b, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        io.write_table_csv(a, None, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        io.write_table_csv(b, None, np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert main(["fidelity", str(a), str(b)]) == 0
         assert "S = 0.0" in capsys.readouterr().out
         assert (tmp_path / "fidelity.json").exists()
@@ -765,15 +765,15 @@ class TestFidelityCommand:
         b_matrix = rng.uniform(0.0, 1.0, (6, 6))
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        io.write_matrix_csv(a, a_matrix)
-        io.write_matrix_csv(b, b_matrix)
+        io.write_table_csv(a, None, a_matrix)
+        io.write_table_csv(b, None, b_matrix)
         assert main(["fidelity", str(a), str(b)]) == 0
         printed = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
         assert printed == pytest.approx(similarity(a_matrix, b_matrix), abs=1e-12)
 
     def test_missing_file_is_config_error(self, tmp_path):
         a = tmp_path / "a.csv"
-        io.write_matrix_csv(a, np.eye(2))
+        io.write_table_csv(a, None, np.eye(2))
         assert main(["fidelity", str(a), str(tmp_path / "nope.csv")]) == 2
 
     @pytest.mark.parametrize(
@@ -789,7 +789,7 @@ class TestFidelityCommand:
     )
     def test_malformed_matrix_is_config_error(self, tmp_path, capsys, body):
         good = tmp_path / "good.csv"
-        io.write_matrix_csv(good, np.eye(2))
+        io.write_table_csv(good, None, np.eye(2))
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"# wgwalk 0.1.0\n" + body)
         out = tmp_path / "out"
@@ -799,7 +799,7 @@ class TestFidelityCommand:
 
     def test_input_naming_a_directory_is_path_error(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
-        io.write_matrix_csv(a, np.eye(2))
+        io.write_table_csv(a, None, np.eye(2))
         out = tmp_path / "out"
         assert main(["fidelity", str(a), str(tmp_path), "--out", str(out)]) == 2
         assert str(tmp_path) in capsys.readouterr().err
@@ -809,8 +809,8 @@ class TestFidelityCommand:
         monkeypatch.chdir(tmp_path)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        io.write_matrix_csv(a, np.array([[1.0, -0.5], [0.0, 0.5]]))
-        io.write_matrix_csv(b, np.eye(2))
+        io.write_table_csv(a, None, np.array([[1.0, -0.5], [0.0, 0.5]]))
+        io.write_table_csv(b, None, np.eye(2))
         assert main(["fidelity", str(a), str(b)]) == 3
 
     def test_matrices_of_two_shapes_are_numerical_failure_naming_both(self, tmp_path, capsys):
@@ -828,7 +828,7 @@ class TestFidelityCommand:
 
     def test_failed_write_reports_no_similarity(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
-        io.write_matrix_csv(a, np.eye(2))
+        io.write_table_csv(a, None, np.eye(2))
         taken = tmp_path / "taken"
         taken.touch()
         assert main(["fidelity", str(a), str(a), "--out", str(taken)]) == 2

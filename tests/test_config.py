@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgwalk.cli import main
-from wgwalk.config import ConfigError, load_run_config, parse_run_config
+from wgwalk.config import (
+    MAX_HOM_POINTS,
+    MAX_TRACE_POINTS,
+    ConfigError,
+    load_run_config,
+    parse_run_config,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -103,11 +109,21 @@ REFUSALS = {
     "steps below one": ("ellipse_walk", {"steps": 0}, "'steps' must be at least 1"),
     "trace_points not an integer": ("ellipse_walk", {"trace_points": 1.5}, "'trace_points' must be an integer"),
     "trace_points below two": ("ellipse_walk", {"trace_points": 1}, "'trace_points' must be at least 2"),
+    "trace_points above the cap": (
+        "ellipse_walk",
+        {"trace_points": MAX_TRACE_POINTS + 1},
+        f"'trace_points' must be at most {MAX_TRACE_POINTS}",
+    ),
     "seed below zero": ("ellipse_walk", {"seed": -1}, "'seed' must be at least 0"),
     "out_dir not a string": ("ellipse_walk", {"out_dir": 5}, "'out_dir' must be a path string"),
     "hom not an object": ("ellipse_walk", {"hom": "yes"}, "'hom' must be a JSON object"),
     "hom points missing": ("ellipse_walk", {"hom.points": DROP}, "missing config key 'hom.points'"),
     "hom points below one": ("ellipse_walk", {"hom.points": 0}, "'hom.points' must be at least 1"),
+    "hom points above the cap": (
+        "ellipse_walk",
+        {"hom.points": MAX_HOM_POINTS + 1},
+        f"'hom.points' must be at most {MAX_HOM_POINTS}",
+    ),
     "hom delay_min missing": ("ellipse_walk", {"hom.delay_min": DROP}, "missing config key 'hom.delay_min'"),
     "hom delays reversed": (
         "ellipse_walk",

@@ -254,7 +254,7 @@ class TestCheckFinite:
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError):
             if writer == "matrix":
-                io.write_matrix_csv(path, np.array([[1.0, np.nan]]))
+                io.write_table_csv(path, None, np.array([[1.0, np.nan]]))
             elif writer == "table":
                 io.write_table_csv(path, ["a", "b"], np.array([[1.0, np.inf]]))
             else:
@@ -266,7 +266,7 @@ class TestCsvWriters:
     def test_rows_use_shortest_roundtrip_floats(self, tmp_path):
         rows = np.array([[0.1, -0.0, 1e-300], [2.0, 1 / 3, 5e22]])
         io.write_table_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
-        io.write_matrix_csv(tmp_path / "m.csv", rows)
+        io.write_table_csv(tmp_path / "m.csv", None, rows)
         body = ["0.1,-0.0,1e-300", "2.0,0.3333333333333333,5e+22"]
         assert (tmp_path / "t.csv").read_text().splitlines()[1:] == ["a,b,c"] + body
         assert (tmp_path / "m.csv").read_text().splitlines()[1:] == body

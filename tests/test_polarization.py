@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wgwalk import cli, polarization
+from wgwalk import polarization
 from wgwalk.config import parse_run_config
 from wgwalk.coupling import CouplingModel, build_coupling_matrix
 from wgwalk.geometry import elliptical_layout, fan_in_layout, linear_layout
@@ -393,7 +393,20 @@ class TestReconstructMueller:
 
 def _ellipse_chip(factor: int):
     """The Jones chip of configs/ellipse_walk.json scaled to 6 * factor ports."""
-    return cli._build_chip(parse_run_config(scaled_ellipse_walk(factor)))
+    cfg = parse_run_config(scaled_ellipse_walk(factor))
+    pol = cfg.polarization
+    return build_polarized_chip(
+        cfg.layout,
+        pol.model_h,
+        pol.model_v,
+        birefringence=pol.birefringence,
+        pol_rotation=pol.pol_rotation,
+        loss_h=pol.loss_h,
+        loss_v=pol.loss_v,
+        z=cfg.z_mm,
+        neighbor_cutoff=cfg.neighbor_cutoff_um,
+        steps=cfg.steps,
+    )
 
 
 def _lossy_jones_chip(rng: np.random.Generator, n: int) -> np.ndarray:
