@@ -33,7 +33,7 @@ from .polarization import (
     reconstruct_mueller,
     simulate_tomography,
 )
-from .propagation import MAX_STEPS, evolve_amplitudes, propagate_z_dependent, unitary
+from .propagation import evolve_amplitudes, propagate_z_dependent, unitary
 from .twophoton import (
     gamma_distinguishable,
     gamma_indistinguishable,
@@ -99,10 +99,6 @@ def cmd_layout(cfg: RunConfig) -> Artifacts:
         "z_span_mm": list(layout.z_span) if layout.z_span else None,
     }
     if layout.fan_in is not None:
-        if cfg.steps > MAX_STEPS:
-            raise ValueError(
-                f"steps {cfg.steps} exceeds the cap of {MAX_STEPS} segments of a fan-in profile"
-            )
         z0, z1 = layout.z_span
         samples = np.linspace(z0, z1, cfg.steps + 1)
         payload["profile"] = {

@@ -25,6 +25,7 @@ from .geometry import (
     permuted_layout,
 )
 from .io import config_digest
+from .propagation import MAX_STEPS
 
 
 class ConfigError(ValueError):
@@ -274,7 +275,7 @@ def _run_config(root: _Object) -> RunConfig:
         if not 1 <= port <= layout.n:
             raise ConfigError(f"'input_ports' entry {port} outside [1, {layout.n}]")
 
-    steps = root.number("steps", default=64, integer=True, minimum=1)
+    steps = root.number("steps", default=64, integer=True, minimum=1, maximum=MAX_STEPS)
     trace_points = root.number(
         "trace_points", default=200, integer=True, minimum=2, maximum=MAX_TRACE_POINTS
     )

@@ -37,7 +37,8 @@ MIN_BATCH_SEGMENTS = 4
 # or benchmark chip uses (4,096). At about 8 us a segment for 6 x 6 and
 # 0.4 ms for 48 x 48 generators (one core of a 2-CPU x86-64 VM), a product
 # at the cap takes 9 s to 7 min; a larger count is refused before any work,
-# not left to run for days.
+# not left to run for days. The config refuses a larger steps as a config
+# error; this guard serves library callers only.
 MAX_STEPS = 1 << 20
 
 # Taylor kernel: each dz H is scaled by 2**-s until its 1-norm is at most

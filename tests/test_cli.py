@@ -1180,15 +1180,14 @@ def test_overflowing_coupling_law_is_numerical_failure(tmp_path, capsys, name, c
 
 
 @pytest.mark.parametrize("command", ["layout", "propagate"])
-def test_impossible_allocation_is_numerical_failure(tmp_path, capsys, command):
-    # layout's profile samples and the fan-in product both refuse the step
-    # count before they form any array
-    out = tmp_path / "run"
-    argv = ["--config", str(CONFIGS / "fanin_walk.json"), "--out", str(out)]
-    assert main([command] + argv + ["--steps", str(10**12)]) == 3
-    message = f"error: steps {10**12} exceeds the cap of {MAX_STEPS} segments"
-    assert capsys.readouterr().err.startswith(message)
-    assert not out.exists()
+def test_impossible_allocation_is_config_error(tmp_path, capsys, command):
+    # the config refuses the step count on every chip kind, before any array is formed
+    for name in ("ellipse_walk", "fanin_walk"):
+        out = tmp_path / name
+        argv = ["--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]
+        assert main([command] + argv + ["--steps", str(10**12)]) == 2
+        assert capsys.readouterr().err == f"config error: 'steps' must be at most {MAX_STEPS}\n"
+        assert not out.exists()
 
 
 def test_layout_steps_above_cap_exit_before_sampling(tmp_path, capsys):
@@ -1197,8 +1196,8 @@ def test_layout_steps_above_cap_exit_before_sampling(tmp_path, capsys):
     argv = ["layout", "--config", str(CONFIGS / "fanin_walk.json"), "--out", str(out)]
     codes = []
     peak = traced_peak(lambda: codes.append(main(argv + ["--steps", str(MAX_STEPS + 1)])))
-    assert codes == [3] and peak < 1_000_000
-    assert f"steps {MAX_STEPS + 1} exceeds the cap" in capsys.readouterr().err
+    assert codes == [2] and peak < 1_000_000
+    assert capsys.readouterr().err == f"config error: 'steps' must be at most {MAX_STEPS}\n"
     assert not out.exists()
     assert main(argv + ["--steps", "64"]) == 0
 

@@ -20,6 +20,7 @@ from wgwalk.config import (
     load_run_config,
     parse_run_config,
 )
+from wgwalk.propagation import MAX_STEPS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -107,6 +108,12 @@ REFUSALS = {
     "input_ports empty": ("ellipse_walk", {"input_ports": []}, "'input_ports' must be a nonempty list of integers"),
     "input port out of range": ("ellipse_walk", {"input_ports": [1, 7]}, "'input_ports' entry 7 outside [1, 6]"),
     "steps below one": ("ellipse_walk", {"steps": 0}, "'steps' must be at least 1"),
+    "steps above the cap": ("ellipse_walk", {"steps": MAX_STEPS + 1}, f"'steps' must be at most {MAX_STEPS}"),
+    "steps above the cap on a fan-in": (
+        "fanin_walk",
+        {"steps": MAX_STEPS + 1},
+        f"'steps' must be at most {MAX_STEPS}",
+    ),
     "trace_points not an integer": ("ellipse_walk", {"trace_points": 1.5}, "'trace_points' must be an integer"),
     "trace_points below two": ("ellipse_walk", {"trace_points": 1}, "'trace_points' must be at least 2"),
     "trace_points above the cap": (
